@@ -92,6 +92,71 @@ pub trait RoutingAlgebra {
         }
         acc
     }
+
+    /// This algebra as exact capped min-plus arithmetic, if it is that.
+    ///
+    /// An engine given `Some` may compute on plain integer distances and
+    /// map the results back with [`MinPlus::route`]; the answer is the
+    /// same as running the algebra's own operations.  The default is
+    /// `None`, which every algebra whose routes are not bare distances
+    /// (paths, BGP attributes, lexicographic pairs, …) keeps.
+    /// [`crate::properties::check_min_plus`] checks a declaration on
+    /// samples.
+    fn min_plus(&self) -> Option<MinPlus<Self>> {
+        None
+    }
+}
+
+/// The exact encoding of a capped min-plus algebra (see
+/// [`RoutingAlgebra::min_plus`]).
+///
+/// Every route is a distance `d ∈ ℕ` or `∞̄` (written `None`), with `0̄`
+/// the distance `0`; `⊕` is `min` with `∞̄` largest; and every edge
+/// function adds a fixed increment, giving `∞̄` when the sum exceeds
+/// [`cap`](Self::cap) (see [`MinPlus::extend`]).  Hop count is
+/// `cap = limit`; shortest paths is uncapped.
+pub struct MinPlus<A: RoutingAlgebra + ?Sized> {
+    /// The largest finite distance; an extension above it is `∞̄`.
+    /// `None` means uncapped (only `u64` overflow gives `∞̄`).
+    pub cap: Option<u64>,
+    /// The increment an edge function adds, or `None` for the constant-∞̄
+    /// edge.
+    pub increment: fn(&A::Edge) -> Option<u64>,
+    /// A route's distance, or `None` for `∞̄`.
+    pub distance: fn(&A::Route) -> Option<u64>,
+    /// The route at a distance (`None` gives `∞̄`); inverse of
+    /// [`distance`](Self::distance).
+    pub route: fn(Option<u64>) -> A::Route,
+}
+
+// Manual impls: deriving would demand `A: Clone`, but only fn pointers
+// are stored.
+impl<A: RoutingAlgebra + ?Sized> Clone for MinPlus<A> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<A: RoutingAlgebra + ?Sized> Copy for MinPlus<A> {}
+
+impl<A: RoutingAlgebra + ?Sized> MinPlus<A> {
+    /// `f(r)` in distance form: `d + increment`, or `∞̄` when either is
+    /// `∞̄`, the sum overflows, or it exceeds the cap.
+    pub fn extend(&self, increment: Option<u64>, d: Option<u64>) -> Option<u64> {
+        let sum = increment?.checked_add(d?)?;
+        match self.cap {
+            Some(cap) if sum > cap => None,
+            _ => Some(sum),
+        }
+    }
+
+    /// `a ⊕ b` in distance form: the smaller distance, `∞̄` largest.
+    pub fn choice(&self, a: Option<u64>, b: Option<u64>) -> Option<u64> {
+        match (a, b) {
+            (Some(x), Some(y)) => Some(x.min(y)),
+            (x, None) | (None, x) => x,
+        }
+    }
 }
 
 /// Extension trait giving convenient, allocation-free access to the derived

@@ -11,8 +11,8 @@
 //! distance-vector convergence experiments.
 
 use crate::algebra::{
-    Distributive, FiniteCarrier, Increasing, RoutingAlgebra, SampleableAlgebra, SplitMix64,
-    StrictlyIncreasing,
+    Distributive, FiniteCarrier, Increasing, MinPlus, RoutingAlgebra, SampleableAlgebra,
+    SplitMix64, StrictlyIncreasing,
 };
 use crate::instances::nat_inf::NatInf;
 
@@ -94,6 +94,16 @@ impl RoutingAlgebra for BoundedHopCount {
     fn invalid(&self) -> NatInf {
         NatInf::Inf
     }
+
+    /// Hop counts are distances capped at the limit.
+    fn min_plus(&self) -> Option<MinPlus<Self>> {
+        Some(MinPlus {
+            cap: Some(self.limit),
+            increment: |hops| Some(*hops),
+            distance: NatInf::as_fin,
+            route: NatInf::from_distance,
+        })
+    }
 }
 
 impl Increasing for BoundedHopCount {}
@@ -132,6 +142,14 @@ impl SampleableAlgebra for BoundedHopCount {
 mod tests {
     use super::*;
     use crate::properties;
+
+    #[test]
+    fn min_plus_declaration_is_exact() {
+        for limit in [1, 4, 15] {
+            let alg = BoundedHopCount::new(limit);
+            properties::check_min_plus(&alg, &alg.all_routes(), &[1, 2, 3, limit + 1]).unwrap();
+        }
+    }
 
     #[test]
     fn carrier_is_finite_and_complete() {

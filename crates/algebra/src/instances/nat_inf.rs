@@ -49,6 +49,12 @@ impl NatInf {
         }
     }
 
+    /// The inverse of [`as_fin`](Self::as_fin): `Some(v)` is `Fin(v)`,
+    /// `None` is `∞`.
+    pub fn from_distance(d: Option<u64>) -> Self {
+        d.map_or(NatInf::Inf, NatInf::Fin)
+    }
+
     /// Saturating addition: `∞ + x = x + ∞ = ∞`, finite values add and
     /// saturate at `∞` on overflow.
     pub fn saturating_add(self, other: NatInf) -> NatInf {

@@ -10,7 +10,8 @@
 //! suffers count-to-infinity when started from arbitrary states (Section 5).
 
 use crate::algebra::{
-    Distributive, Increasing, RoutingAlgebra, SampleableAlgebra, SplitMix64, StrictlyIncreasing,
+    Distributive, Increasing, MinPlus, RoutingAlgebra, SampleableAlgebra, SplitMix64,
+    StrictlyIncreasing,
 };
 use crate::instances::nat_inf::NatInf;
 
@@ -89,6 +90,16 @@ impl RoutingAlgebra for ShortestPaths {
     fn invalid(&self) -> NatInf {
         NatInf::Inf
     }
+
+    /// Distances are uncapped; an `∞` edge is the constant-∞̄ edge.
+    fn min_plus(&self) -> Option<MinPlus<Self>> {
+        Some(MinPlus {
+            cap: None,
+            increment: NatInf::as_fin,
+            distance: NatInf::as_fin,
+            route: NatInf::from_distance,
+        })
+    }
 }
 
 // With positive weights f_w(a) = w + a > a for finite a, and distance
@@ -161,6 +172,16 @@ mod tests {
         let edges = alg.sample_edges(7, 16);
         properties::check_required_laws(&alg, &routes, &edges)
             .expect("shortest paths satisfies the Definition 1 laws");
+    }
+
+    #[test]
+    fn min_plus_declaration_is_exact() {
+        let alg = ShortestPaths::new();
+        let mut routes = alg.sample_routes(5, 32);
+        routes.push(NatInf::fin(u64::MAX));
+        let mut edges = alg.sample_edges(5, 8);
+        edges.extend([alg.raw_edge(NatInf::fin(0)), NatInf::fin(u64::MAX)]);
+        properties::check_min_plus(&alg, &routes, &edges).unwrap();
     }
 
     #[test]

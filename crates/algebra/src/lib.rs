@@ -67,16 +67,16 @@ pub mod instances;
 pub mod properties;
 
 pub use algebra::{
-    Distributive, FiniteCarrier, Increasing, RouteOrdering, RoutingAlgebra, SampleableAlgebra,
-    StrictlyIncreasing,
+    Distributive, FiniteCarrier, Increasing, MinPlus, RouteOrdering, RoutingAlgebra,
+    SampleableAlgebra, StrictlyIncreasing,
 };
 pub use height::{carrier_height, distinct_routes, route_height, HeightBound};
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
     pub use crate::algebra::{
-        Distributive, FiniteCarrier, Increasing, RouteOrdering, RoutingAlgebra, SampleableAlgebra,
-        StrictlyIncreasing,
+        Distributive, FiniteCarrier, Increasing, MinPlus, RouteOrdering, RoutingAlgebra,
+        SampleableAlgebra, StrictlyIncreasing,
     };
     pub use crate::combinators::lex::{Lex, LexEdge, LexRoute};
     pub use crate::height::{carrier_height, distinct_routes, route_height, HeightBound};

@@ -203,6 +203,60 @@ pub fn check_distributive<A: RoutingAlgebra>(
     Ok(())
 }
 
+/// The algebra's [`RoutingAlgebra::min_plus`] declaration, if it makes
+/// one, is exact: `0̄` is distance `0`, `∞̄` has none, every route
+/// round-trips through its distance, and `⊕` and every extension agree
+/// with [`MinPlus::choice`](crate::MinPlus::choice) and
+/// [`MinPlus::extend`](crate::MinPlus::extend).  An algebra that declares
+/// nothing passes trivially.
+pub fn check_min_plus<A: RoutingAlgebra>(
+    alg: &A,
+    routes: &[A::Route],
+    edges: &[A::Edge],
+) -> CheckResult {
+    const LAW: &str = "exact min-plus encoding";
+    let Some(mp) = alg.min_plus() else {
+        return Ok(());
+    };
+    let (zero, inf) = (alg.trivial(), alg.invalid());
+    if (mp.distance)(&zero) != Some(0) || (mp.distance)(&inf).is_some() {
+        return Err(Violation::new(
+            LAW,
+            format!("0̄={zero:?} must be distance 0 and ∞̄={inf:?} must have none"),
+        ));
+    }
+    for a in routes {
+        let da = (mp.distance)(a);
+        if (mp.route)(da) != *a {
+            return Err(Violation::new(
+                LAW,
+                format!("a={a:?}: distance {da:?} maps back to {:?}", (mp.route)(da)),
+            ));
+        }
+        for b in routes {
+            let want = (mp.route)(mp.choice(da, (mp.distance)(b)));
+            let got = alg.choice(a, b);
+            if got != want {
+                return Err(Violation::new(
+                    LAW,
+                    format!("a={a:?} b={b:?}: a⊕b={got:?} but min gives {want:?}"),
+                ));
+            }
+        }
+        for f in edges {
+            let want = (mp.route)(mp.extend((mp.increment)(f), da));
+            let got = alg.extend(f, a);
+            if got != want {
+                return Err(Violation::new(
+                    LAW,
+                    format!("f={f:?} a={a:?}: f(a)={got:?} but capped addition gives {want:?}"),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Check all the *required* laws of Definition 1 at once, collecting every
 /// violation rather than stopping at the first.
 pub fn check_required_laws<A: RoutingAlgebra>(
@@ -405,8 +459,9 @@ mod tests {
     use super::*;
     use crate::instances::hopcount::BoundedHopCount;
     use crate::instances::longest::LongestPaths;
+    use crate::instances::nat_inf::NatInf;
     use crate::instances::shortest::ShortestPaths;
-    use crate::prelude::SampleableAlgebra;
+    use crate::prelude::{FiniteCarrier, SampleableAlgebra};
 
     #[test]
     fn report_for_finite_strictly_increasing_algebra() {
@@ -480,6 +535,43 @@ mod tests {
         let edges = vec![1u8];
         let errs = check_required_laws(&Broken, &routes, &edges).unwrap_err();
         assert!(errs.len() >= 3, "expected several violations, got {errs:?}");
+    }
+
+    #[test]
+    fn a_min_plus_declaration_with_the_wrong_cap_is_caught() {
+        // Hop count declaring one more reachable hop than its limit.
+        struct OffByOne(BoundedHopCount);
+        impl RoutingAlgebra for OffByOne {
+            type Route = NatInf;
+            type Edge = u64;
+            fn choice(&self, a: &NatInf, b: &NatInf) -> NatInf {
+                self.0.choice(a, b)
+            }
+            fn extend(&self, f: &u64, r: &NatInf) -> NatInf {
+                self.0.extend(f, r)
+            }
+            fn trivial(&self) -> NatInf {
+                self.0.trivial()
+            }
+            fn invalid(&self) -> NatInf {
+                self.0.invalid()
+            }
+            fn min_plus(&self) -> Option<crate::MinPlus<Self>> {
+                let mp = self.0.min_plus()?;
+                Some(crate::MinPlus {
+                    cap: Some(self.0.limit() + 1),
+                    increment: mp.increment,
+                    distance: mp.distance,
+                    route: mp.route,
+                })
+            }
+        }
+        let alg = OffByOne(BoundedHopCount::new(4));
+        let routes = alg.0.all_routes();
+        let v = check_min_plus(&alg, &routes, &[1]).unwrap_err();
+        assert!(v.witness.contains("capped addition"), "{v}");
+        // Algebras that declare nothing pass trivially.
+        check_min_plus(&LongestPaths::new(), &[NatInf::fin(3)], &[NatInf::fin(1)]).unwrap();
     }
 
     #[test]

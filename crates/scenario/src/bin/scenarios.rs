@@ -1073,7 +1073,8 @@ fn cmd_gen_trace(opts: &Options) -> Result<bool, String> {
 ///
 /// This is the path to fabrics whose square routing state does not fit in
 /// memory: at the default `--nodes 100000` a square state would need
-/// ~160 GB, while a 1024-wide destination slab streams through ~3 GB.
+/// ~160 GB, while the two buffers of a 1024-wide destination slab take
+/// ~0.8 GB (both algebras here run on `u32` lanes).
 /// The emitted record (printed, and written via `--out`) is what
 /// `BENCH_sweeps.json` carries under `scale_runs`.
 fn cmd_scale_run(opts: &Options) -> Result<bool, String> {
