@@ -13,7 +13,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbf_algebra::prelude::*;
 use dbf_matrix::prelude::*;
+use dbf_telemetry::NoopSink;
 use dbf_topology::generators;
+use std::borrow::Cow;
 use std::time::Duration;
 
 fn widest_fabric(n: usize) -> (WidestPaths, AdjacencyMatrix<WidestPaths>) {
@@ -55,6 +57,24 @@ fn full_scan(
     (cur, max_rounds)
 }
 
+/// Reconverge from `x0` with only the `dirty` rows on the start frontier.
+fn frontier_run(
+    alg: &WidestPaths,
+    adj: &AdjacencyMatrix<WidestPaths>,
+    x0: &RoutingState<WidestPaths>,
+    dirty: &[bool],
+    budget: usize,
+) -> SigmaOutcome<WidestPaths> {
+    let start = Frontier::from_mask(dirty);
+    Stepper::new(Cow::Borrowed(adj), x0.clone(), start).run(
+        alg,
+        &Inline,
+        budget,
+        false,
+        &mut NoopSink,
+    )
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("frontier_sigma");
     group.warm_up_time(Duration::from_millis(200));
@@ -73,8 +93,7 @@ fn bench(c: &mut Criterion) {
 
         // Outcome parity and the work claim, checked once up front.
         let (scan_state, scan_rounds) = full_scan(&alg, &changed, &baseline.state, budget);
-        let frontier =
-            iterate_dirty_to_fixed_point(&alg, &changed, &baseline.state, &dirty, budget);
+        let frontier = frontier_run(&alg, &changed, &baseline.state, &dirty, budget);
         assert!(frontier.converged, "n={n}: frontier did not converge");
         assert_eq!(
             frontier.state, scan_state,
@@ -93,8 +112,7 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("frontier", n), &n, |b, _| {
             b.iter(|| {
-                iterate_dirty_to_fixed_point(&alg, &changed, &baseline.state, &dirty, budget)
-                    .row_recomputations
+                frontier_run(&alg, &changed, &baseline.state, &dirty, budget).row_recomputations
             })
         });
     }

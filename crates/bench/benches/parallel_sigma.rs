@@ -10,7 +10,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbf_algebra::prelude::*;
 use dbf_matrix::prelude::*;
+use dbf_telemetry::NoopSink;
 use dbf_topology::generators;
+use std::borrow::Cow;
 use std::time::Duration;
 
 fn widest_fabric(n: usize) -> (WidestPaths, AdjacencyMatrix<WidestPaths>) {
@@ -18,6 +20,24 @@ fn widest_fabric(n: usize) -> (WidestPaths, AdjacencyMatrix<WidestPaths>) {
     let topo = generators::leaf_spine(4, n - 4)
         .with_weights(|i, j| NatInf::fin(((i * 11 + j * 5) % 90 + 10) as u64));
     (alg, AdjacencyMatrix::from_topology(&topo))
+}
+
+/// Full σ from `x0` on the σ kernel, sharded across `threads`.
+fn sharded(
+    alg: &WidestPaths,
+    adj: &AdjacencyMatrix<WidestPaths>,
+    x0: &RoutingState<WidestPaths>,
+    threads: usize,
+) -> SigmaOutcome<WidestPaths> {
+    let n = adj.node_count();
+    let start = Frontier::full(n);
+    Stepper::new(Cow::Borrowed(adj), x0.clone(), start).run(
+        alg,
+        &OnPool::shared(threads),
+        4 * n,
+        true,
+        &mut NoopSink,
+    )
 }
 
 fn bench(c: &mut Criterion) {
@@ -36,17 +56,13 @@ fn bench(c: &mut Criterion) {
             b.iter(|| iterate_to_fixed_point(&alg, &adj, &clean, 4 * n).iterations)
         });
         for threads in [2usize, 4] {
-            let out = par_iterate_to_fixed_point(&alg, &adj, &clean, 4 * n, threads);
+            let out = sharded(&alg, &adj, &clean, threads);
             assert_eq!(out.state, reference.state, "bit-identical at t={threads}");
             assert_eq!(out.iterations, reference.iterations);
             group.bench_with_input(
                 BenchmarkId::new(format!("parallel_t{threads}"), n),
                 &n,
-                |b, _| {
-                    b.iter(|| {
-                        par_iterate_to_fixed_point(&alg, &adj, &clean, 4 * n, threads).iterations
-                    })
-                },
+                |b, _| b.iter(|| sharded(&alg, &adj, &clean, threads).iterations),
             );
         }
     }

@@ -15,6 +15,7 @@ use dbf_algebra::prelude::*;
 use dbf_matrix::prelude::*;
 use dbf_telemetry::NoopSink;
 use dbf_topology::generators;
+use std::borrow::Cow;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -70,7 +71,13 @@ fn bench_churn_reconverge(c: &mut Criterion) {
     let up = AdjacencyMatrix::from_topology(&generators::ring(n).with_weights(|_, _| 1u64));
     let down = AdjacencyMatrix::from_topology(&generators::line(n).with_weights(|_, _| 1u64));
     let clean = RoutingState::identity(&alg, n);
-    let converged = par_iterate_to_fixed_point(&alg, &up, &clean, 4 * n, 4);
+    let converged = Stepper::new(Cow::Borrowed(&up), clean, Frontier::full(n)).run(
+        &alg,
+        &OnPool::shared(4),
+        4 * n,
+        true,
+        &mut NoopSink,
+    );
     assert!(converged.converged);
 
     for threads in [1usize, 4] {
@@ -81,14 +88,12 @@ fn bench_churn_reconverge(c: &mut Criterion) {
                 // server's per-batch inner loop.
                 let mut state = converged.state.clone();
                 for (old, new) in [(&up, &down), (&down, &up)] {
-                    let dirty = dirty_rows_after_change(old, new);
-                    let out = par_iterate_dirty_traced(
+                    let start = Frontier::from_mask(&dirty_rows_after_change(old, new));
+                    let out = Stepper::new(Cow::Borrowed(new), state, start).run(
                         &alg,
-                        new,
-                        &state,
-                        &dirty,
+                        &OnPool::shared(t),
                         4 * n,
-                        t,
+                        false,
                         &mut NoopSink,
                     );
                     assert!(out.converged);

@@ -161,9 +161,9 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
     }
 
     /// `dependants[k]` = the rows that import from row `k` (the transpose
-    /// of the sparsity pattern).  This is the propagation structure both
-    /// dirty-row engines and the full-sweep row-skip walk each round: when
-    /// row `k` changes, exactly `dependants[k]` can change next round.
+    /// of the sparsity pattern).  This is the propagation structure the σ
+    /// kernel and the blocked slab loop walk each round: when row `k`
+    /// changes, exactly `dependants[k]` can change next round.
     pub fn dependants(&self) -> Vec<Vec<NodeId>> {
         let mut dependants: Vec<Vec<NodeId>> = vec![Vec::new(); self.n];
         for (i, row) in self.rows.iter().enumerate() {

@@ -11,8 +11,8 @@
 //! 16-byte routes) and the whole computation streams through memory
 //! block by block.
 //!
-//! Each block runs the same frontier discipline as
-//! [`crate::sync::iterate_traced`]: round 1 sweeps every row, later rounds
+//! Each block runs the same frontier discipline as the σ kernel
+//! ([`crate::kernel::Stepper`]): round 1 sweeps every row, later rounds
 //! recompute only the dependants of rows that changed, the change test is
 //! fused into the streaming write, and the needs/prev/flags triple keeps
 //! the idle buffer refreshed without full-slab copies.  The per-block
@@ -49,7 +49,6 @@
 //! formatted.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::sync::update_needs;
 use dbf_algebra::{MinPlus, RoutingAlgebra};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -501,6 +500,20 @@ fn run_blocks<C: Cells>(
         rounds_max,
         row_recomputations: work,
         converged,
+    }
+}
+
+/// Recompute the next round's active frontier: exactly the dependants of
+/// the rows whose values changed this round need a σ recomputation; every
+/// other row is provably stable and may be copied.
+fn update_needs(dependants: &[Vec<usize>], flags: &[bool], needs: &mut [bool]) {
+    needs.fill(false);
+    for (i, &changed) in flags.iter().enumerate() {
+        if changed {
+            for &d in &dependants[i] {
+                needs[d] = true;
+            }
+        }
     }
 }
 

@@ -1,9 +1,8 @@
-//! The epoch-stamped dense frontier behind the dirty-row engines.
+//! The epoch-stamped dense frontier behind the σ kernel.
 //!
-//! The incremental iteration's per-round work list used to be a
-//! `Vec<bool>` mask rescanned end-to-end every round — `O(n)` bookkeeping
-//! per round even when the active frontier is ten rows out of 10⁵.  A
-//! [`Frontier`] keeps the membership test *and* the member list:
+//! A `Vec<bool>` work list rescanned end-to-end every round costs `O(n)`
+//! bookkeeping per round even when the active frontier is ten rows out of
+//! 10⁵.  A [`Frontier`] keeps the membership test *and* the member list:
 //!
 //! * `stamp[i] == generation` means row `i` is in the current frontier, so
 //!   insertion dedups in `O(1)` without clearing anything;
@@ -13,7 +12,7 @@
 //!   sweep, no allocation (both vectors are reused for the lifetime of the
 //!   iteration).
 //!
-//! Determinism: the work list handed to the σ kernels is the *sorted*
+//! Determinism: the work list handed to the σ kernel is the *sorted*
 //! queue ([`Frontier::sorted`]), so the rows a round recomputes — and the
 //! order changed rows are applied in — are a pure function of the dirty
 //! set, independent of insertion order and thread count.
@@ -39,6 +38,27 @@ impl Frontier {
             queue: Vec::new(),
             generation: 1,
         }
+    }
+
+    /// The frontier holding every row `0..n` — the start of a full σ
+    /// iteration from an arbitrary state.
+    pub fn full(n: usize) -> Frontier {
+        Frontier {
+            stamp: vec![1; n],
+            queue: (0..n).collect(),
+            generation: 1,
+        }
+    }
+
+    /// The frontier holding exactly the rows marked in `mask` — the start
+    /// of a reconvergence from a previous fixed point (see
+    /// [`crate::incremental::dirty_rows_after_change`]).
+    pub fn from_mask(mask: &[bool]) -> Frontier {
+        let mut f = Frontier::new(mask.len());
+        for i in (0..mask.len()).filter(|&i| mask[i]) {
+            f.insert(i);
+        }
+        f
     }
 
     /// The number of nodes the frontier ranges over.
@@ -86,8 +106,8 @@ impl Frontier {
 
     /// Sort the queue ascending in place and return it as the round's work
     /// list.  Sorting makes the work list independent of insertion order,
-    /// which is what keeps the incremental trajectory identical to the
-    /// legacy full-scan worklist (which was ascending by construction).
+    /// so the rows a round recomputes and the order its changed rows are
+    /// applied in are a pure function of the frontier's contents.
     pub fn sorted(&mut self) -> &[usize] {
         self.queue.sort_unstable();
         &self.queue
@@ -110,6 +130,16 @@ mod tests {
         assert!(f.contains(2) && f.contains(5) && f.contains(7));
         assert!(!f.contains(0));
         assert_eq!(f.sorted(), &[2, 5, 7]);
+    }
+
+    #[test]
+    fn full_and_mask_starts_enqueue_exactly_their_rows() {
+        let mut all = Frontier::full(4);
+        assert_eq!(all.sorted(), &[0, 1, 2, 3]);
+        assert!(!all.insert(2), "a full frontier dedups");
+        let mut some = Frontier::from_mask(&[false, true, false, true]);
+        assert_eq!(some.sorted(), &[1, 3]);
+        assert_eq!(some.node_count(), 4);
     }
 
     #[test]

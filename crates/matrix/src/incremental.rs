@@ -1,71 +1,25 @@
-//! Incremental (dirty-row) synchronous iteration.
+//! Incremental reconvergence: the start frontier after a topology change.
 //!
-//! The full iteration in [`crate::sync`] recomputes every node's table
-//! every round, even though most rounds change only a shrinking frontier of
-//! tables — and after a topology change only the region around the edit is
-//! perturbed at all ("Dynamic Asynchronous Iterations" makes exactly this
-//! observation).  This module tracks *dirty rows* instead:
-//!
-//! * row `i` of `σ(X)` depends only on the rows `k` with `A_ik` present
-//!   (node `i`'s import neighbourhood), so a row whose inputs have not
-//!   changed since its last recomputation cannot change either;
-//! * each round recomputes exactly the dirty rows **from the previous
-//!   round's values** (Jacobi order, buffered writes), marks the dependants
-//!   of every row that actually changed dirty for the next round, and stops
-//!   when no row is dirty.
-//!
-//! Because clean rows provably satisfy `σ(X)[i] = X[i]`, the produced
-//! sequence of states is *identical* to the full synchronous iteration —
-//! for every algebra, not just the strictly-increasing ones — while the
-//! work per round shrinks to the active frontier.  The dirty set itself is
-//! an epoch-stamped [`Frontier`] work queue, so the per-round bookkeeping
-//! is `O(|frontier|)` too — no `O(n)` mask scan, no per-row allocation
-//! (recomputed rows are staged in a buffer reused across rounds).
-//! Starting from a fixed
-//! point of a previous topology, [`dirty_rows_after_change`] computes the
-//! only rows the edit can perturb, which is what makes reconvergence after
-//! a change `O(perturbed region)` instead of `O(n · |E|)` per round.
+//! After a topology change only the region around the edit is perturbed
+//! ("Dynamic Asynchronous Iterations" makes exactly this observation).
+//! Starting the σ kernel ([`crate::kernel::Stepper`]) from the fixed point
+//! of the previous topology with only the rows returned by
+//! [`dirty_rows_after_change`] on the frontier reproduces the full σ
+//! trajectory state for state, for every algebra, while the work per
+//! round shrinks to the perturbed region: reconvergence costs
+//! `O(perturbed region)` instead of `O(n · |E|)` per round.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::frontier::Frontier;
-use crate::parallel::{par_recompute_rows_into, ParallelAlgebra};
-use crate::sigma::sigma_row_into_changed;
-use crate::state::RoutingState;
-use crate::sync::emit_settles;
 use dbf_algebra::RoutingAlgebra;
-use dbf_telemetry::{NoopSink, TelemetrySink};
-use std::time::Instant;
-
-/// The outcome of an incremental iteration run.
-#[derive(Clone, Debug)]
-pub struct IncrementalOutcome<A: RoutingAlgebra> {
-    /// The final state (a fixed point when `converged` is true).
-    pub state: RoutingState<A>,
-    /// Rounds performed (a round recomputes the currently dirty rows).
-    pub rounds: usize,
-    /// Total row recomputations across all rounds.  A full synchronous
-    /// round costs `n` of these, so `row_recomputations / n` is directly
-    /// comparable to [`crate::sync::SyncOutcome::iterations`].
-    pub row_recomputations: u64,
-    /// Whether the dirty set emptied (a fixed point was reached) within the
-    /// round budget.
-    pub converged: bool,
-    /// The residual dirty mask when `converged` is false: exactly the rows
-    /// still scheduled for recomputation, so the iteration can be resumed
-    /// (`x0 = state`, `dirty0 = dirty`) and will reproduce the uninterrupted
-    /// trajectory — the Jacobi staging makes the split point invisible.
-    /// Empty when `converged` is true.
-    pub dirty: Vec<bool>,
-}
 
 /// The rows a topology change can perturb directly: every row whose import
 /// neighbourhood (its adjacency row) differs between `old` and `new`, plus
 /// every row that did not exist in `old`.
 ///
-/// Starting [`iterate_dirty_to_fixed_point`] from a fixed point of `old`
-/// with exactly these rows dirty reconverges to the fixed point of `new`:
-/// an untouched row `i` satisfies `σ_new(X)[i] = σ_old(X)[i] = X[i]`, so it
-/// only needs recomputing once a dirty neighbour's table actually changes.
+/// Starting the kernel from a fixed point of `old` with exactly these rows
+/// on the frontier reconverges to the fixed point of `new`: an untouched
+/// row `i` satisfies `σ_new(X)[i] = σ_old(X)[i] = X[i]`, so it only needs
+/// recomputing once a neighbour's table actually changes.
 pub fn dirty_rows_after_change<A>(old: &AdjacencyMatrix<A>, new: &AdjacencyMatrix<A>) -> Vec<bool>
 where
     A: RoutingAlgebra,
@@ -76,312 +30,19 @@ where
         .collect()
 }
 
-/// Iterate `σ` from `x0`, recomputing only dirty rows, until no row is
-/// dirty or `max_rounds` rounds have been performed.
-///
-/// `dirty0` marks the rows that must be recomputed at least once: pass
-/// all-`true` for a fresh start (the result then equals
-/// [`crate::sync::iterate_to_fixed_point`] state-for-state, round-for-round)
-/// or [`dirty_rows_after_change`] when `x0` is the fixed point of a
-/// previous topology.
-///
-/// # Panics
-///
-/// Panics if `adj`, `x0` and `dirty0` do not agree on the node count.
-pub fn iterate_dirty_to_fixed_point<A: RoutingAlgebra>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-) -> IncrementalOutcome<A> {
-    iterate_dirty_traced(alg, adj, x0, dirty0, max_rounds, &mut NoopSink)
-}
-
-/// [`iterate_dirty_to_fixed_point`] with a telemetry sink: per-round
-/// `round_start`/`round_end` events carrying the dirty-set size (the work
-/// list is exactly the dirty rows), and per-node `node_settled` events once
-/// the loop stops.  The outcome is identical to the untraced iteration for
-/// every sink; with [`NoopSink`] the instrumentation compiles out.
-pub fn iterate_dirty_traced<A, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    tel: &mut S,
-) -> IncrementalOutcome<A>
-where
-    A: RoutingAlgebra,
-    S: TelemetrySink + ?Sized,
-{
-    let n = adj.node_count();
-    run_dirty_loop(
-        adj,
-        x0,
-        dirty0,
-        max_rounds,
-        |state, worklist, staging, changed| {
-            let need = worklist.len() * n;
-            if staging.len() < need {
-                staging.resize(need, alg.invalid());
-            }
-            changed.clear();
-            changed.resize(worklist.len(), false);
-            for (pos, &i) in worklist.iter().enumerate() {
-                let slot = &mut staging[pos * n..(pos + 1) * n];
-                changed[pos] = sigma_row_into_changed(alg, adj, state, i, slot);
-            }
-        },
-        tel,
-    )
-}
-
-/// The shared dirty-set engine behind the sequential and sharded dirty-row
-/// iterations: the round loop, the frontier bookkeeping and the outcome
-/// accounting live here *once*, parameterised only by how a round's work
-/// list is recomputed.
-///
-/// Each round drains the epoch-stamped [`Frontier`] into a sorted work
-/// list (`O(|frontier| log |frontier|)`, not an `O(n)` mask scan) and
-/// hands `recompute` the previous round's state plus two buffers that are
-/// reused across rounds: `staging` must end up holding the recomputed row
-/// for work-list position `pos` at `staging[pos·n .. (pos+1)·n]`, and
-/// `changed[pos]` must say whether that row differs from the current one.
-/// Both the sequential kernel and
-/// [`crate::parallel::par_recompute_rows_into`] fill the same
-/// position-major layout, so the trajectory is identical by construction
-/// rather than by keeping two loops in lockstep — and neither allocates
-/// per round once the buffers have grown to the peak frontier size.
-fn run_dirty_loop<A, S>(
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    mut recompute: impl FnMut(&RoutingState<A>, &[usize], &mut Vec<A::Route>, &mut Vec<bool>),
-    tel: &mut S,
-) -> IncrementalOutcome<A>
-where
-    A: RoutingAlgebra,
-    S: TelemetrySink + ?Sized,
-{
-    let n = adj.node_count();
-    assert_eq!(
-        n,
-        x0.node_count(),
-        "adjacency and state dimensions must match"
-    );
-    assert_eq!(n, dirty0.len(), "dirty mask length must match");
-
-    // dependants[k] = the rows that read row k (the nodes importing from k).
-    let dependants = adj.dependants();
-
-    let on = tel.enabled();
-    let mut last_changed = vec![0u64; if on { n } else { 0 }];
-    let mut state = x0.clone();
-    let mut frontier = Frontier::new(n);
-    let mut next_frontier = Frontier::new(n);
-    for (i, &d) in dirty0.iter().enumerate() {
-        if d {
-            frontier.insert(i);
-        }
-    }
-    // Reused across rounds: one staging row per work-list position plus the
-    // matching change flags — zero per-round allocation once they reach the
-    // peak frontier size.
-    let mut staging: Vec<A::Route> = Vec::new();
-    let mut changed_flags: Vec<bool> = Vec::new();
-    let mut rounds = 0usize;
-    let mut row_recomputations = 0u64;
-
-    while !frontier.is_empty() {
-        if rounds == max_rounds {
-            if on {
-                emit_settles(tel, &last_changed);
-            }
-            let mut residual = vec![false; n];
-            for &i in frontier.sorted() {
-                residual[i] = true;
-            }
-            return IncrementalOutcome {
-                state,
-                rounds,
-                row_recomputations,
-                converged: false,
-                dirty: residual,
-            };
-        }
-        rounds += 1;
-        let wl_len = frontier.len() as u64;
-        row_recomputations += wl_len;
-        let t0 = on.then(Instant::now);
-        tel.round_start(rounds as u64, wl_len, wl_len);
-        let worklist = frontier.sorted();
-        // Changed rows are staged and applied after the whole work list is
-        // recomputed, so every recomputation reads the *previous* round's
-        // values (Jacobi order) — this is what keeps the trajectory
-        // identical to the full σ iteration.
-        recompute(&state, worklist, &mut staging, &mut changed_flags);
-        let mut changed_rows = 0u64;
-        for (pos, &i) in worklist.iter().enumerate() {
-            if !changed_flags[pos] {
-                continue;
-            }
-            changed_rows += 1;
-            state
-                .row_mut(i)
-                .clone_from_slice(&staging[pos * n..(pos + 1) * n]);
-            if on {
-                last_changed[i] = rounds as u64;
-            }
-            for &d in &dependants[i] {
-                next_frontier.insert(d);
-            }
-        }
-        let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        tel.round_end(rounds as u64, wl_len, changed_rows, wall_ns);
-        std::mem::swap(&mut frontier, &mut next_frontier);
-        next_frontier.clear();
-    }
-    if on {
-        emit_settles(tel, &last_changed);
-    }
-    IncrementalOutcome {
-        state,
-        rounds,
-        row_recomputations,
-        converged: true,
-        dirty: Vec::new(),
-    }
-}
-
-/// [`iterate_dirty_to_fixed_point`] with each round's dirty-row work list
-/// sharded across up to `threads` worker threads (see [`crate::parallel`]).
-///
-/// The trajectory is identical to the sequential engine for every thread
-/// count: a round recomputes exactly the dirty rows from the previous
-/// round's buffered state (each row by exactly one worker), the changed
-/// rows are applied in ascending row order, and the dirty bookkeeping is
-/// single-threaded — so `state`, `rounds` and `row_recomputations` are all
-/// pure functions of the problem.  `threads <= 1` runs the sequential
-/// engine directly.
-///
-/// # Panics
-///
-/// Panics if `adj`, `x0` and `dirty0` do not agree on the node count.
-pub fn par_iterate_dirty_to_fixed_point<A>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    threads: usize,
-) -> IncrementalOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    if threads <= 1 {
-        return iterate_dirty_to_fixed_point(alg, adj, x0, dirty0, max_rounds);
-    }
-    run_dirty_loop(
-        adj,
-        x0,
-        dirty0,
-        max_rounds,
-        |state, worklist, staging, changed| {
-            par_recompute_rows_into(alg, adj, state, worklist, threads, staging, changed)
-        },
-        &mut NoopSink,
-    )
-}
-
-/// [`par_iterate_dirty_to_fixed_point`] with a telemetry sink.  The
-/// deterministic event stream — round indices, work-list sizes, changed-row
-/// counts, settle rounds — is identical to [`iterate_dirty_traced`] for
-/// every thread count, because the dirty bookkeeping (and the sink) stay on
-/// the coordinating thread and the sharded recomputation returns changed
-/// rows in the sequential order.
-pub fn par_iterate_dirty_traced<A, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    threads: usize,
-    tel: &mut S,
-) -> IncrementalOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-    S: TelemetrySink + ?Sized,
-{
-    if threads <= 1 {
-        return iterate_dirty_traced(alg, adj, x0, dirty0, max_rounds, tel);
-    }
-    run_dirty_loop(
-        adj,
-        x0,
-        dirty0,
-        max_rounds,
-        |state, worklist, staging, changed| {
-            par_recompute_rows_into(alg, adj, state, worklist, threads, staging, changed)
-        },
-        tel,
-    )
-}
-
-/// [`par_iterate_dirty_traced`] against an explicit [`WorkerPool`](crate::pool::WorkerPool) instead
-/// of the process-wide shared one.
-///
-/// The route server runs its reconvergences on a dedicated pool for two
-/// reasons: an armed [`FaultPlan`](crate::faults::FaultPlan) keys its
-/// triggers on epoch indices, which are only deterministic on a pool whose
-/// history the server controls; and a fault that kills or stalls a worker
-/// must not perturb unrelated work sharing the process-wide pool.
-/// `threads <= 1` still runs the sequential engine (the pool is unused).
-#[allow(clippy::too_many_arguments)]
-pub fn par_iterate_dirty_traced_on<A, S>(
-    pool: &crate::pool::WorkerPool,
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    threads: usize,
-    tel: &mut S,
-) -> IncrementalOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-    S: TelemetrySink + ?Sized,
-{
-    if threads <= 1 {
-        return iterate_dirty_traced(alg, adj, x0, dirty0, max_rounds, tel);
-    }
-    run_dirty_loop(
-        adj,
-        x0,
-        dirty0,
-        max_rounds,
-        |state, worklist, staging, changed| {
-            crate::parallel::par_recompute_rows_into_on(
-                pool, alg, adj, state, worklist, threads, staging, changed,
-            )
-        },
-        tel,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::{is_stable, iterate_to_fixed_point};
+    use crate::frontier::Frontier;
+    use crate::kernel::tests::{assert_naive, naive, run_kernel};
+    use crate::kernel::Stepper;
+    use crate::parallel::Inline;
+    use crate::sigma::sigma_k;
+    use crate::state::RoutingState;
     use dbf_algebra::prelude::*;
+    use dbf_telemetry::NoopSink;
     use dbf_topology::generators;
+    use std::borrow::Cow;
 
     fn weighted_ring(n: usize) -> AdjacencyMatrix<ShortestPaths> {
         let topo =
@@ -391,18 +52,24 @@ mod tests {
 
     #[test]
     fn all_dirty_start_matches_full_sync_round_for_round() {
+        // Every committed round of the all-dirty kernel is one application
+        // of naive σ, until the round that changes nothing.
         let alg = ShortestPaths::new();
         let adj = weighted_ring(9);
         let x0 = RoutingState::identity(&alg, 9);
-        let full = iterate_to_fixed_point(&alg, &adj, &x0, 200);
-        let inc = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 9], 200);
-        assert!(full.converged && inc.converged);
-        assert_eq!(inc.state, full.state);
-        // The dirty engine detects the fixed point one round earlier than
-        // the full iteration's equality test (an empty dirty set *is* the
-        // stability proof), but never later.
-        assert!(inc.rounds <= full.iterations + 1);
-        assert!(inc.row_recomputations <= (full.iterations as u64 + 1) * 9);
+        let mut s = Stepper::new(Cow::Borrowed(&adj), x0.clone(), Frontier::full(9));
+        while !s.is_settled() {
+            let changed = s.step(&alg, &Inline, &mut NoopSink);
+            let round = s.rounds() - usize::from(changed == 0);
+            assert!(
+                *s.state() == sigma_k(&alg, &adj, &x0, round),
+                "round {round}"
+            );
+        }
+        let out = s.finish().0;
+        let (fixed, k, stable) = naive(&alg, &adj, &x0, 200);
+        assert!(stable && out.converged && out.state == fixed);
+        assert_eq!((out.iterations, out.rounds), (k, k + 1));
     }
 
     #[test]
@@ -414,8 +81,8 @@ mod tests {
         let n = 64;
         let old_topo = generators::line(n).with_weights(|_, _| 1u64);
         let old_adj = AdjacencyMatrix::<BoundedHopCount>::from_topology(&old_topo);
-        let fixed = iterate_to_fixed_point(&alg, &old_adj, &RoutingState::identity(&alg, n), 400);
-        assert!(fixed.converged);
+        let (fixed, _, stable) = naive(&alg, &old_adj, &RoutingState::identity(&alg, n), 400);
+        assert!(stable);
 
         let mut new_adj = old_adj.clone();
         new_adj.set(0, 1, None);
@@ -427,14 +94,13 @@ mod tests {
             "only the two endpoints' import sets changed"
         );
 
-        let inc = iterate_dirty_to_fixed_point(&alg, &new_adj, &fixed.state, &dirty, 400);
-        let full = iterate_to_fixed_point(&alg, &new_adj, &fixed.state, 400);
-        assert!(inc.converged && full.converged);
-        assert_eq!(inc.state, full.state);
-        assert!(is_stable(&alg, &new_adj, &inc.state));
-        // The full iteration recomputes n rows per round; the dirty engine
-        // only touches the frontier around the failed link.
-        let full_row_equivalents = (full.iterations as u64 + 1) * n as u64;
+        let start = Frontier::from_mask(&dirty);
+        let inc = run_kernel(&alg, &new_adj, &fixed, start, 400, false, 1);
+        assert!(inc.converged);
+        assert_naive(&alg, &new_adj, &fixed, &inc, 400, false);
+        // A full σ round recomputes n rows; the dirty start only touches
+        // the frontier around the failed link.
+        let full_row_equivalents = inc.rounds as u64 * n as u64;
         assert!(
             inc.row_recomputations < full_row_equivalents / 2,
             "incremental {} vs full {}",
@@ -446,33 +112,31 @@ mod tests {
     #[test]
     fn widest_paths_agree_with_full_sync() {
         // Widest paths is increasing but not strictly, so its fixed point is
-        // not guaranteed unique — the incremental engine must still land on
-        // the *same* one as full σ because it reproduces the trajectory.
+        // not guaranteed unique — the dirty start must still land on the
+        // *same* one as naive σ because it walks the same trajectory.
         let alg = WidestPaths::new();
         let topo = generators::leaf_spine(3, 6)
             .with_weights(|i, j| NatInf::fin(((i * 11 + j * 5) % 90 + 10) as u64));
         let adj = AdjacencyMatrix::from_topology(&topo);
         let x0 = RoutingState::identity(&alg, 9);
-        let full = iterate_to_fixed_point(&alg, &adj, &x0, 200);
-        let inc = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 9], 200);
-        assert!(full.converged && inc.converged);
-        assert_eq!(inc.state, full.state);
+        let inc = run_kernel(&alg, &adj, &x0, Frontier::full(9), 200, false, 1);
+        assert!(inc.converged);
+        assert_naive(&alg, &adj, &x0, &inc, 200, false);
 
         let mut cut = adj.clone();
         cut.set(0, 6, None);
         cut.set(6, 0, None);
-        let dirty = dirty_rows_after_change(&adj, &cut);
-        let inc2 = iterate_dirty_to_fixed_point(&alg, &cut, &inc.state, &dirty, 200);
-        let full2 = iterate_to_fixed_point(&alg, &cut, &full.state, 200);
-        assert_eq!(inc2.state, full2.state);
+        let start = Frontier::from_mask(&dirty_rows_after_change(&adj, &cut));
+        let inc2 = run_kernel(&alg, &cut, &inc.state, start, 200, false, 1);
         assert!(inc2.converged);
+        assert_naive(&alg, &cut, &inc.state, &inc2, 200, false);
     }
 
     #[test]
     fn growing_networks_mark_fresh_rows_dirty() {
         let alg = ShortestPaths::new();
         let small = weighted_ring(5);
-        let fixed = iterate_to_fixed_point(&alg, &small, &RoutingState::identity(&alg, 5), 100);
+        let fixed = naive(&alg, &small, &RoutingState::identity(&alg, 5), 100).0;
         // Node 5 joins and links to node 0 (both directions, weight 1).
         let mut grown = AdjacencyMatrix::<ShortestPaths>::empty(6);
         for i in 0..5 {
@@ -484,43 +148,41 @@ mod tests {
         grown.set(5, 0, Some(NatInf::fin(1)));
         let dirty = dirty_rows_after_change(&small, &grown);
         assert!(dirty[0] && dirty[5], "both endpoints of the new link");
-        let state0 = fixed.state.grown(&alg, 6);
-        let inc = iterate_dirty_to_fixed_point(&alg, &grown, &state0, &dirty, 100);
-        let full = iterate_to_fixed_point(&alg, &grown, &state0, 100);
+        let state0 = fixed.grown(&alg, 6);
+        let inc = run_kernel(
+            &alg,
+            &grown,
+            &state0,
+            Frontier::from_mask(&dirty),
+            100,
+            false,
+            1,
+        );
         assert!(inc.converged);
-        assert_eq!(inc.state, full.state);
+        assert_naive(&alg, &grown, &state0, &inc, 100, false);
     }
 
     #[test]
     fn the_sharded_engine_reproduces_the_sequential_trajectory() {
-        // Fresh start and change-phase start, across thread counts: state,
-        // round count and row-recomputation count must all be identical to
-        // the sequential dirty engine (which itself matches full σ).
+        // Fresh start and change-phase start, across thread counts: the
+        // sharded kernel walks naive σ's trajectory.
         let alg = ShortestPaths::new();
         let adj = weighted_ring(23);
         let x0 = RoutingState::identity(&alg, 23);
-        let seq = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 23], 300);
-        for threads in [2, 3, 8] {
-            let par = par_iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 23], 300, threads);
-            assert_eq!(par.state, seq.state, "threads={threads}");
-            assert_eq!(par.rounds, seq.rounds, "threads={threads}");
-            assert_eq!(
-                par.row_recomputations, seq.row_recomputations,
-                "threads={threads}"
-            );
-            assert!(par.converged);
-        }
-
+        let fixed = naive(&alg, &adj, &x0, 300).0;
         let mut cut = adj.clone();
         cut.set(0, 1, None);
         cut.set(1, 0, None);
         let dirty = dirty_rows_after_change(&adj, &cut);
-        let seq2 = iterate_dirty_to_fixed_point(&alg, &cut, &seq.state, &dirty, 300);
-        let par2 = par_iterate_dirty_to_fixed_point(&alg, &cut, &seq.state, &dirty, 300, 4);
-        assert_eq!(par2.state, seq2.state);
-        assert_eq!(par2.rounds, seq2.rounds);
-        assert_eq!(par2.row_recomputations, seq2.row_recomputations);
-        assert!(is_stable(&alg, &cut, &par2.state));
+        for threads in [2, 3, 8] {
+            let fresh = run_kernel(&alg, &adj, &x0, Frontier::full(23), 300, false, threads);
+            assert!(fresh.converged, "threads={threads}");
+            assert_naive(&alg, &adj, &x0, &fresh, 300, false);
+            let start = Frontier::from_mask(&dirty);
+            let change = run_kernel(&alg, &cut, &fixed, start, 300, false, threads);
+            assert!(change.converged, "threads={threads}");
+            assert_naive(&alg, &cut, &fixed, &change, 300, false);
+        }
     }
 
     #[test]
@@ -528,12 +190,12 @@ mod tests {
         let alg = ShortestPaths::new();
         let adj = weighted_ring(4);
         let x0 = RoutingState::identity(&alg, 4);
-        let out = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 4], 0);
+        let out = run_kernel(&alg, &adj, &x0, Frontier::full(4), 0, false, 1);
         assert!(!out.converged);
         assert_eq!(out.rounds, 0);
         // ... and a clean start over a clean mask is trivially converged.
-        let fixed = iterate_to_fixed_point(&alg, &adj, &x0, 100).state;
-        let out = iterate_dirty_to_fixed_point(&alg, &adj, &fixed, &[false; 4], 0);
+        let fixed = naive(&alg, &adj, &x0, 100).0;
+        let out = run_kernel(&alg, &adj, &fixed, Frontier::new(4), 0, false, 1);
         assert!(out.converged);
         assert_eq!(out.row_recomputations, 0);
     }

@@ -14,25 +14,32 @@
 //! * [`sigma`](mod@crate::sigma) — one synchronous round
 //!   `σ(X) = A(X) ⊕ I` (Equation 5) and
 //!   per-entry recomputation reused by the asynchronous iterate `δ`;
-//! * [`sync`] — repeated synchronous iteration to a fixed point, stability
-//!   testing (Definition 4) and iteration counting (the quantity studied in
-//!   Section 8.1);
-//! * [`incremental`] — dirty-row iteration: only rows whose inputs changed
-//!   are recomputed, reproducing the full σ trajectory while making
-//!   reconvergence after a topology change proportional to the perturbed
-//!   region rather than to the whole network;
-//! * [`frontier`] — the epoch-stamped work queue behind the dirty-row
-//!   loops: O(1) dedup-insert, O(|frontier|) drain, and clearing by
+//! * [`kernel`] — the σ kernel: one resumable frontier iteration
+//!   ([`Stepper`]) that recomputes only the rows whose inputs changed last
+//!   round and stages each round in Jacobi order, so the trajectory is
+//!   exactly the naive `σ^k(x0)`.  Started with every row on the frontier
+//!   it is full σ;
+//! * [`sync`] — the paper-facing synchronous iteration to a fixed point
+//!   ([`iterate_to_fixed_point`], the kernel with every row dirty),
+//!   stability testing (Definition 4) and the iteration budget;
+//! * [`incremental`] — the kernel's start frontier after a topology
+//!   change ([`dirty_rows_after_change`]): started from the previous fixed
+//!   point with only the perturbed rows dirty, reconvergence costs the
+//!   perturbed region instead of `n` rows per round;
+//! * [`parallel`] — the executors a round runs on: inline, or sharded
+//!   across degree-balanced bands of a worker pool, bit-identical at any
+//!   thread count;
+//! * [`frontier`] — the epoch-stamped work queue behind the kernel:
+//!   O(1) dedup-insert, O(|frontier|) drain, and clearing by
 //!   generation bump instead of an O(n) scan per round;
+//! * [`blocked`] — the destination-blocked fixed point for networks whose
+//!   square state does not fit in memory: `n × w` column slabs, on `u32`
+//!   lanes for the min-plus algebras, digested instead of materialised;
 //! * [`permute`] — cache-conscious node relabelings (degree-sorted,
 //!   reverse-Cuthill-McKee): σ is permutation-equivariant, so engines may
 //!   iterate in a bandwidth-friendly row order and un-permute the fixed
 //!   point bit for bit;
-//! * [`parallel`] — the same sweeps sharded across worker threads: the
-//!   Jacobi round is row-parallel by construction, so degree-balanced
-//!   contiguous row bands computed by a scoped worker pool produce results
-//!   **bit-identical** to the sequential iteration at any thread count;
-//! * [`pool`] — the persistent worker pool behind those sweeps: parked
+//! * [`pool`] — the persistent worker pool behind the sharded rounds: parked
 //!   workers and epoch-stamped band work lists replace per-round thread
 //!   spawning, worker panics surface as recoverable errors instead of
 //!   taking the process down, and a supervisor replaces workers that die;
@@ -82,6 +89,7 @@ pub mod blocked;
 pub mod faults;
 pub mod frontier;
 pub mod incremental;
+pub mod kernel;
 pub mod oracle;
 pub mod parallel;
 pub mod permute;
@@ -94,19 +102,14 @@ pub use adjacency::AdjacencyMatrix;
 pub use blocked::{blocked_fixed_point, BlockedOutcome};
 pub use faults::{Fault, FaultKind, FaultPlan};
 pub use frontier::Frontier;
-pub use incremental::{
-    dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced,
-    par_iterate_dirty_to_fixed_point, par_iterate_dirty_traced, par_iterate_dirty_traced_on,
-    IncrementalOutcome,
-};
-pub use parallel::{
-    par_iterate_to_fixed_point, par_iterate_traced, par_sigma_into, ParallelAlgebra,
-};
+pub use incremental::dirty_rows_after_change;
+pub use kernel::{SigmaOutcome, Stepper};
+pub use parallel::{Executor, Inline, OnPool, ParallelAlgebra, RoundWork};
 pub use permute::{NodePermutation, RowOrder};
 pub use pool::{PoolScope, PoolStats, WorkerPool};
 pub use sigma::{sigma, sigma_entry, sigma_into, sigma_row_into, sigma_row_into_changed};
 pub use state::RoutingState;
-pub use sync::{is_stable, iterate_to_fixed_point, iterate_traced, iteration_budget, SyncOutcome};
+pub use sync::{is_stable, iterate_to_fixed_point, iteration_budget};
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
@@ -114,22 +117,15 @@ pub mod prelude {
     pub use crate::blocked::{blocked_fixed_point, BlockedOutcome};
     pub use crate::faults::{Fault, FaultKind, FaultPlan};
     pub use crate::frontier::Frontier;
-    pub use crate::incremental::{
-        dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced,
-        par_iterate_dirty_to_fixed_point, par_iterate_dirty_traced, par_iterate_dirty_traced_on,
-        IncrementalOutcome,
-    };
+    pub use crate::incremental::dirty_rows_after_change;
+    pub use crate::kernel::{SigmaOutcome, Stepper};
     pub use crate::oracle::exhaustive_path_optimum;
-    pub use crate::parallel::{
-        par_iterate_to_fixed_point, par_iterate_traced, par_sigma_into, ParallelAlgebra,
-    };
+    pub use crate::parallel::{Executor, Inline, OnPool, ParallelAlgebra, RoundWork};
     pub use crate::permute::{NodePermutation, RowOrder};
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
     pub use crate::sigma::{
         sigma, sigma_entry, sigma_into, sigma_k, sigma_row_into, sigma_row_into_changed,
     };
     pub use crate::state::RoutingState;
-    pub use crate::sync::{
-        is_stable, iterate_to_fixed_point, iterate_traced, iteration_budget, SyncOutcome,
-    };
+    pub use crate::sync::{is_stable, iterate_to_fixed_point, iteration_budget};
 }

@@ -1,44 +1,79 @@
-//! Deterministic multi-threaded σ: the row sweep sharded across worker
-//! threads.
+//! Executors: how one round's work list is recomputed — on the calling
+//! thread ([`Inline`]), or sharded across the bands of a persistent
+//! [`WorkerPool`] ([`OnPool`]).
 //!
-//! One Jacobi round `σ(X)` computes every row of the next state from the
-//! *previous* state only, so the row sweep is embarrassingly parallel: the
-//! sweep is partitioned into contiguous row bands, each band is written by
-//! exactly one worker into its disjoint slice of the double buffer, and the
-//! result is **bit-identical** to the sequential sweep for every thread
-//! count — no reduction order, no scheduling dependence, nothing for a
-//! thread to race on.  The differential checker therefore treats the
-//! parallel engine exactly like the sequential one: same digests, same
-//! iteration counts, same JSON.
+//! One Jacobi round computes every frontier row from the *previous*
+//! state only, so the work list is embarrassingly parallel: it is cut
+//! into contiguous bands, each band is written by exactly one worker into
+//! its disjoint slice of the staging buffer, and the result is
+//! **bit-identical** to the inline sweep for every thread count — no
+//! reduction order, no scheduling dependence, nothing to race on.
 //!
 //! Bands are balanced by *work*, not by row count: one row of `σ(X)` costs
 //! `O(deg(i) · n)`, and real fabrics are skewed (a leaf–spine spine imports
 //! from thousands of leaves while a leaf imports from four spines), so
 //! equal-row bands would leave most workers idle behind the one holding the
-//! hubs.  The internal `balanced_chunks` planner cuts the row list at
+//! hubs.  The internal `balanced_chunks` planner cuts the work list at
 //! cumulative-degree boundaries instead.
-//!
-//! Bands run on the persistent shared [`WorkerPool`]: workers are spawned
-//! once per process and parked between rounds, each round hands them an
-//! epoch-stamped band work list, and the calling thread executes the first
-//! band itself — so `threads = t` uses up to `t` OS threads without any
-//! per-round spawn/join cost.  A worker panic does not abort the process:
-//! the pool returns the payload to the coordinator, which re-raises it
-//! here so the engine layer above can report it as an engine error.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::pool::WorkerPool;
-use crate::sigma::{sigma_into, sigma_row_into_changed};
+use crate::sigma::sigma_row_into_changed;
 use crate::state::RoutingState;
-use crate::sync::{
-    emit_settles, iterate_to_fixed_point, iterate_traced, update_needs, SyncOutcome,
-};
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::TelemetrySink;
 use std::ops::Range;
 use std::time::Instant;
 
-/// The algebra bounds of the parallel sweep: the algebra and adjacency are
+/// One round's work, handed to an [`Executor`]: recompute row `rows[pos]`
+/// of `σ(state)` into `staging[pos·n .. (pos+1)·n]` and set `changed[pos]`
+/// to whether it differs from the current row.
+pub struct RoundWork<'r, A: RoutingAlgebra> {
+    /// The 1-based round index (for `band_sweep` events).
+    pub round: u64,
+    /// The adjacency being iterated.
+    pub adj: &'r AdjacencyMatrix<A>,
+    /// The previous round's state, read by every row.
+    pub state: &'r RoutingState<A>,
+    /// The work list: ascending, deduplicated row ids.
+    pub rows: &'r [usize],
+    /// Position-major output rows, `rows.len() · n` routes.
+    pub staging: &'r mut [A::Route],
+    /// Position-major change flags, `rows.len()` entries.
+    pub changed: &'r mut [bool],
+}
+
+/// How a round's work list is recomputed.
+pub trait Executor<A: RoutingAlgebra> {
+    /// Fill `work.staging` and `work.changed` (see [`RoundWork`]).
+    fn recompute<S: TelemetrySink + ?Sized>(&self, alg: &A, work: RoundWork<'_, A>, tel: &mut S);
+}
+
+/// Recompute every row on the calling thread.
+#[derive(Clone, Copy, Debug)]
+pub struct Inline;
+
+impl<A: RoutingAlgebra> Executor<A> for Inline {
+    fn recompute<S: TelemetrySink + ?Sized>(&self, alg: &A, w: RoundWork<'_, A>, _tel: &mut S) {
+        sweep_rows(alg, w.adj, w.state, w.rows, w.staging, w.changed);
+    }
+}
+
+fn sweep_rows<A: RoutingAlgebra>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    state: &RoutingState<A>,
+    rows: &[usize],
+    staging: &mut [A::Route],
+    changed: &mut [bool],
+) {
+    let n = state.node_count().max(1);
+    for ((&i, slot), flag) in rows.iter().zip(staging.chunks_mut(n)).zip(changed) {
+        *flag = sigma_row_into_changed(alg, adj, state, i, slot);
+    }
+}
+
+/// The algebra bounds of the sharded sweep: the algebra and adjacency are
 /// shared read-only across workers and each worker writes `Route`s into its
 /// own band.
 pub trait ParallelAlgebra: RoutingAlgebra + Sync
@@ -54,6 +89,86 @@ where
     A::Route: Send + Sync,
     A::Edge: Sync,
 {
+}
+
+/// Shard each round's work list across up to `threads` workers of a pool.
+///
+/// The work list is cut into contiguous bands of roughly equal weight
+/// `deg(i) + 1` (one row of σ costs `O(deg(i) · n)`, and a leaf–spine
+/// spine imports from every leaf), each band stages into its own disjoint
+/// slice, and the calling thread sweeps the first band itself.  A round
+/// with fewer than two rows, or `threads <= 1`, runs inline without
+/// opening a pool epoch.  A worker panic is re-raised on the caller with
+/// its payload intact; the pool itself survives.
+#[derive(Clone, Copy)]
+pub struct OnPool<'p> {
+    /// The pool whose workers run the bands.
+    pub pool: &'p WorkerPool,
+    /// The most bands (worker threads, counting the caller) per round.
+    pub threads: usize,
+}
+
+impl OnPool<'static> {
+    /// Shard across the process-wide [`WorkerPool::shared`].
+    pub fn shared(threads: usize) -> OnPool<'static> {
+        OnPool {
+            pool: WorkerPool::shared(),
+            threads,
+        }
+    }
+}
+
+impl<A> Executor<A> for OnPool<'_>
+where
+    A: ParallelAlgebra,
+    A::Route: Send + Sync,
+    A::Edge: Sync,
+{
+    fn recompute<S: TelemetrySink + ?Sized>(&self, alg: &A, w: RoundWork<'_, A>, tel: &mut S) {
+        if self.threads <= 1 || w.rows.len() < 2 {
+            return Inline.recompute(alg, w, tel);
+        }
+        let (adj, state, rows, n) = (w.adj, w.state, w.rows, w.state.node_count());
+        let weight = |pos: usize| adj.row(rows[pos]).len() as u64 + 1;
+        let bands = balanced_chunks(rows.len(), self.threads, weight);
+        let mut walls = vec![0u64; bands.len()];
+        let sweep = |rows: &[usize], stage: &mut [A::Route], flags: &mut [bool], wall: &mut u64| {
+            let t0 = Instant::now();
+            sweep_rows(alg, adj, state, rows, stage, flags);
+            *wall = t0.elapsed().as_nanos() as u64;
+        };
+        let (mut stage_rest, mut flag_rest) = (w.staging, w.changed);
+        let mut wall_rest = walls.as_mut_slice();
+        let outcome = self.pool.scoped(|scope| {
+            let mut first = None;
+            for band in &bands {
+                let rows = &rows[band.clone()];
+                let (stage, tail) = std::mem::take(&mut stage_rest).split_at_mut(rows.len() * n);
+                stage_rest = tail;
+                let (flags, tail) = std::mem::take(&mut flag_rest).split_at_mut(rows.len());
+                flag_rest = tail;
+                let (wall, tail) = std::mem::take(&mut wall_rest).split_at_mut(1);
+                wall_rest = tail;
+                if first.is_none() {
+                    first = Some((rows, stage, flags, wall));
+                } else {
+                    scope.execute(move || sweep(rows, stage, flags, &mut wall[0]));
+                }
+            }
+            if let Some((rows, stage, flags, wall)) = first {
+                sweep(rows, stage, flags, &mut wall[0]);
+            }
+        });
+        if let Err(payload) = outcome {
+            std::panic::resume_unwind(payload);
+        }
+        if tel.enabled() {
+            for (b, band) in bands.iter().enumerate() {
+                let band_weight = band.clone().map(weight).sum();
+                tel.band_sweep(w.round, b as u64, band.len() as u64, band_weight, walls[b]);
+            }
+        }
+    }
 }
 
 /// Partition `0..len` into at most `parts` non-empty contiguous ranges of
@@ -94,516 +209,17 @@ pub(crate) fn balanced_chunks(
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Band weight of row `i` under row-skip: a computed row costs
-/// `O(deg(i) · n)`, a freshly-settled row (changed last round but outside
-/// the frontier now) is a single memcpy weighted as a light constant, and
-/// a row quiet for two rounds costs nothing at all — a band whose rows are
-/// all quiet therefore has weight 0 and is short-circuited without even
-/// dispatching to a worker.
-fn band_weight<A: RoutingAlgebra>(
-    adj: &AdjacencyMatrix<A>,
-    needs: &[bool],
-    prev: &[bool],
-    i: usize,
-) -> u64 {
-    if needs[i] {
-        adj.row(i).len() as u64 + 1
-    } else if prev[i] {
-        1
-    } else {
-        0
-    }
-}
-
-/// One parallel round: compute `σ(cur)` into `next` across `threads`
-/// workers, filling `flags[i]` with whether row `i` changed.  Rows outside
-/// the active frontier (`needs[i] == false`) provably satisfy
-/// `σ(cur)[i] = cur[i]` and are copied (if freshly settled) or skipped
-/// outright (if quiet for two rounds, the idle buffer already holds the
-/// current value) — the same row-skip as the sequential sweep, so the
-/// trajectory stays bit-identical; a band whose rows are all quiet is not
-/// dispatched at all.  The change test rides the streaming write so the
-/// fixed-point loop needs no second full-matrix comparison pass.
-#[allow(clippy::too_many_arguments)]
-fn par_step<A>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    cur: &RoutingState<A>,
-    next: &mut RoutingState<A>,
-    threads: usize,
-    needs: &[bool],
-    prev: &[bool],
-    flags: &mut [bool],
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    let n = adj.node_count();
-    let chunks = balanced_chunks(n, threads, |i| band_weight(adj, needs, prev, i));
-    let sweep_band = |band: &mut [A::Route], rows: Range<usize>, flags: &mut [bool]| {
-        for ((slot, i), flag) in band.chunks_mut(n).zip(rows).zip(flags.iter_mut()) {
-            *flag = if needs[i] {
-                sigma_row_into_changed(alg, adj, cur, i, slot)
-            } else {
-                if prev[i] {
-                    slot.clone_from_slice(cur.row(i));
-                }
-                false
-            };
-        }
-    };
-    let mut rest = next.entries_mut();
-    let mut flags_rest = flags;
-    #[allow(clippy::type_complexity)]
-    let mut first: Option<(&mut [A::Route], Range<usize>, &mut [bool])> = None;
-    let outcome = WorkerPool::shared().scoped(|scope| {
-        for rows in chunks {
-            let (band, tail) = std::mem::take(&mut rest).split_at_mut((rows.end - rows.start) * n);
-            rest = tail;
-            let (frow, ftail) = std::mem::take(&mut flags_rest).split_at_mut(rows.end - rows.start);
-            flags_rest = ftail;
-            if rows.clone().all(|i| band_weight(adj, needs, prev, i) == 0) {
-                // Per-band short-circuit: every row is quiet, the buffer
-                // band is already current — clear the flags and move on
-                // without waking a worker.
-                frow.fill(false);
-                continue;
-            }
-            if first.is_none() {
-                // The calling thread works too instead of idling at the
-                // join, so `threads` means `threads`, not `threads + 1`.
-                first = Some((band, rows, frow));
-            } else {
-                scope.execute(move || sweep_band(band, rows, frow));
-            }
-        }
-        if let Some((band, rows, frow)) = first.take() {
-            sweep_band(band, rows, frow);
-        }
-    });
-    if let Err(payload) = outcome {
-        // Re-raise the worker's own panic (payload intact) instead of
-        // aborting behind a generic expect message: the engine dispatch
-        // layer catches it and reports the failing engine plus a
-        // reproduction command.
-        std::panic::resume_unwind(payload);
-    }
-}
-
-/// One synchronous round `σ(X)` written into an existing buffer, with the
-/// row sweep sharded across up to `threads` worker threads.
-///
-/// The output is bit-identical to [`crate::sigma::sigma_into`] for every
-/// thread count (each row is computed by exactly one worker from the same
-/// immutable previous state); `threads <= 1` runs the sequential sweep
-/// directly.
-///
-/// # Panics
-///
-/// Panics if `adj`, `x` and `out` do not all have the same node count.
-pub fn par_sigma_into<A>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x: &RoutingState<A>,
-    out: &mut RoutingState<A>,
-    threads: usize,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    let n = adj.node_count();
-    assert_eq!(
-        n,
-        x.node_count(),
-        "adjacency and state dimensions must match"
-    );
-    assert_eq!(n, out.node_count(), "output state dimension must match");
-    if threads <= 1 || n < 2 {
-        sigma_into(alg, adj, x, out);
-    } else {
-        // A one-shot σ has no previous round to justify skipping anything:
-        // every row is in the frontier.
-        let needs = vec![true; n];
-        let prev = vec![true; n];
-        let mut flags = vec![false; n];
-        par_step(alg, adj, x, out, threads, &needs, &prev, &mut flags);
-    }
-}
-
-/// Iterate `σ` to a fixed point exactly like
-/// [`crate::sync::iterate_to_fixed_point`], but with every round's row
-/// sweep sharded across up to `threads` worker threads.
-///
-/// The returned outcome — state, iteration count and convergence flag — is
-/// identical to the sequential iteration for every thread count, because
-/// each round is a pure function of the previous double-buffered state and
-/// the convergence test (`no row changed this round`) is exactly the
-/// sequential `next == cur` comparison.
-pub fn par_iterate_to_fixed_point<A>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    max_iterations: usize,
-    threads: usize,
-) -> SyncOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    let n = adj.node_count();
-    if threads <= 1 || n < 2 {
-        return iterate_to_fixed_point(alg, adj, x0, max_iterations);
-    }
-    // The same row-skip bookkeeping as the sequential loop: round 1 sweeps
-    // everything, later rounds recompute only the dependants of the rows
-    // that changed — so the parallel and sequential schedules (and hence
-    // the trajectories) stay identical for every thread count.
-    let dependants = adj.dependants();
-    let mut needs = vec![true; n];
-    let mut prev = vec![true; n];
-    let mut flags = vec![false; n];
-    let mut cur = x0.clone();
-    let mut next = cur.clone();
-    for k in 0..max_iterations {
-        par_step(
-            alg, adj, &cur, &mut next, threads, &needs, &prev, &mut flags,
-        );
-        if !flags.iter().any(|&f| f) {
-            return SyncOutcome {
-                state: cur,
-                iterations: k,
-                converged: true,
-            };
-        }
-        update_needs(&dependants, &flags, &mut needs);
-        std::mem::swap(&mut prev, &mut flags);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // Mirror the sequential budget-boundary check: one last round into the
-    // idle buffer decides convergence without moving the reported state.
-    par_step(
-        alg, adj, &cur, &mut next, threads, &needs, &prev, &mut flags,
-    );
-    SyncOutcome {
-        state: cur,
-        iterations: max_iterations,
-        converged: !flags.iter().any(|&f| f),
-    }
-}
-
-/// One instrumented parallel round: like `par_step`, but each worker also
-/// records which of its rows changed into its disjoint slice of a per-row
-/// flag vector and its own band sweep time into a per-band slot.  After the
-/// join, the *coordinating* thread emits one `band_sweep` event per band in
-/// band-index order — workers never touch the sink, so trace ordering is
-/// deterministic — and returns the flags for the caller to fold.
-///
-/// Only called on the enabled-telemetry path, so the per-round wall
-/// allocations and `Instant` reads are never paid by untraced runs.
-#[allow(clippy::too_many_arguments)]
-fn par_step_traced<A, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    cur: &RoutingState<A>,
-    next: &mut RoutingState<A>,
-    threads: usize,
-    needs: &[bool],
-    prev: &[bool],
-    flags: &mut [bool],
-    round: u64,
-    tel: &mut S,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-    S: TelemetrySink + ?Sized,
-{
-    let n = adj.node_count();
-    let chunks = balanced_chunks(n, threads, |i| band_weight(adj, needs, prev, i));
-    let mut walls = vec![0u64; chunks.len()];
-    let sweep_band = |band: &mut [A::Route], rows: Range<usize>, flags: &mut [bool]| -> u64 {
-        let t0 = Instant::now();
-        for ((slot, i), flag) in band.chunks_mut(n).zip(rows).zip(flags.iter_mut()) {
-            *flag = if needs[i] {
-                sigma_row_into_changed(alg, adj, cur, i, slot)
-            } else {
-                if prev[i] {
-                    slot.clone_from_slice(cur.row(i));
-                }
-                false
-            };
-        }
-        t0.elapsed().as_nanos() as u64
-    };
-    // One worker's share of the round: its disjoint band of the double
-    // buffer, the row range it covers, its change flags and its wall slot.
-    type BandWork<'a, R> = (&'a mut [R], Range<usize>, &'a mut [bool], &'a mut [u64]);
-    let mut rest = next.entries_mut();
-    let mut flags_rest = flags;
-    let mut walls_rest = walls.as_mut_slice();
-    let outcome = WorkerPool::shared().scoped(|scope| {
-        let mut first: Option<BandWork<'_, A::Route>> = None;
-        for rows in chunks.iter().cloned() {
-            let (band, tail) = std::mem::take(&mut rest).split_at_mut((rows.end - rows.start) * n);
-            rest = tail;
-            let (frow, ftail) = std::mem::take(&mut flags_rest).split_at_mut(rows.end - rows.start);
-            flags_rest = ftail;
-            let (wslot, wtail) = std::mem::take(&mut walls_rest).split_at_mut(1);
-            walls_rest = wtail;
-            if rows.clone().all(|i| band_weight(adj, needs, prev, i) == 0) {
-                // Per-band short-circuit: all rows quiet, the buffer band
-                // is already current — no dispatch, zero wall time.
-                frow.fill(false);
-                continue;
-            }
-            if first.is_none() {
-                first = Some((band, rows, frow, wslot));
-            } else {
-                scope.execute(move || {
-                    wslot[0] = sweep_band(band, rows, frow);
-                });
-            }
-        }
-        if let Some((band, rows, frow, wslot)) = first.take() {
-            wslot[0] = sweep_band(band, rows, frow);
-        }
-    });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
-    for (b, rows) in chunks.iter().enumerate() {
-        let weight: u64 = rows.clone().map(|i| band_weight(adj, needs, prev, i)).sum();
-        tel.band_sweep(
-            round,
-            b as u64,
-            (rows.end - rows.start) as u64,
-            weight,
-            walls[b],
-        );
-    }
-}
-
-/// [`par_iterate_to_fixed_point`] with a telemetry sink: per-round
-/// `round_start`/`round_end` events, per-band `band_sweep` profiling (the
-/// band-balance evidence: rows, degree weight, and worker sweep time per
-/// band), and per-node `node_settled` events once the loop stops.
-///
-/// The outcome — and every deterministic event argument (round indices,
-/// rows recomputed/changed, settle rounds) — is identical to the
-/// sequential [`iterate_traced`] for every thread count; only the band
-/// events and wall times depend on the execution geometry.  With a
-/// disabled sink this forwards to the untraced [`par_iterate_to_fixed_point`].
-pub fn par_iterate_traced<A, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    max_iterations: usize,
-    threads: usize,
-    tel: &mut S,
-) -> SyncOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-    S: TelemetrySink + ?Sized,
-{
-    if !tel.enabled() {
-        return par_iterate_to_fixed_point(alg, adj, x0, max_iterations, threads);
-    }
-    let n = adj.node_count();
-    if threads <= 1 || n < 2 {
-        return iterate_traced(alg, adj, x0, max_iterations, tel);
-    }
-    let mut last_changed = vec![0u64; n];
-    let round_traced = |cur: &RoutingState<A>,
-                        next: &mut RoutingState<A>,
-                        round: u64,
-                        needs: &[bool],
-                        prev: &[bool],
-                        flags: &mut [bool],
-                        last_changed: &mut [u64],
-                        tel: &mut S|
-     -> u64 {
-        let t0 = Instant::now();
-        let frontier = needs.iter().filter(|&&d| d).count() as u64;
-        tel.round_start(round, n as u64, frontier);
-        par_step_traced(alg, adj, cur, next, threads, needs, prev, flags, round, tel);
-        let mut changed = 0u64;
-        for (i, &flag) in flags.iter().enumerate() {
-            if flag {
-                changed += 1;
-                last_changed[i] = round;
-            }
-        }
-        tel.round_end(round, frontier, changed, t0.elapsed().as_nanos() as u64);
-        changed
-    };
-    // Row-skip bookkeeping, identical to the sequential loop so every
-    // deterministic event argument stays thread-invariant.
-    let dependants = adj.dependants();
-    let mut needs = vec![true; n];
-    let mut prev = vec![true; n];
-    let mut flags = vec![false; n];
-    let mut cur = x0.clone();
-    let mut next = cur.clone();
-    let mut round = 0u64;
-    for k in 0..max_iterations {
-        round = k as u64 + 1;
-        if round_traced(
-            &cur,
-            &mut next,
-            round,
-            &needs,
-            &prev,
-            &mut flags,
-            &mut last_changed,
-            tel,
-        ) == 0
-        {
-            emit_settles(tel, &last_changed);
-            return SyncOutcome {
-                state: cur,
-                iterations: k,
-                converged: true,
-            };
-        }
-        update_needs(&dependants, &flags, &mut needs);
-        std::mem::swap(&mut prev, &mut flags);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // Mirror the sequential budget-boundary check: one last round into the
-    // idle buffer decides convergence without moving the reported state.
-    let changed = round_traced(
-        &cur,
-        &mut next,
-        round + 1,
-        &needs,
-        &prev,
-        &mut flags,
-        &mut last_changed,
-        tel,
-    );
-    emit_settles(tel, &last_changed);
-    SyncOutcome {
-        state: cur,
-        iterations: max_iterations,
-        converged: changed == 0,
-    }
-}
-
-/// Recompute the rows of `worklist` (ascending, deduplicated) from `state`
-/// across up to `threads` workers, into the caller's reusable buffers:
-/// `staging[pos·n .. (pos+1)·n]` receives the new table of row
-/// `worklist[pos]` and `changed[pos]` whether it differs from the current
-/// one.  `staging` grows on demand but is never shrunk, so a fixed-point
-/// loop that calls this every round allocates only while the frontier is
-/// still widening.
-///
-/// This is the per-round kernel of the sharded incremental engine
-/// ([`crate::incremental::par_iterate_dirty_to_fixed_point`]): each worker
-/// owns one contiguous segment of the work list (degree-weighted, like the
-/// full sweep) and writes its disjoint slice of `staging`/`changed`, so
-/// the result — and therefore the whole trajectory — is independent of the
-/// thread count by construction.
-pub(crate) fn par_recompute_rows_into<A>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    state: &RoutingState<A>,
-    worklist: &[usize],
-    threads: usize,
-    staging: &mut Vec<A::Route>,
-    changed: &mut Vec<bool>,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    par_recompute_rows_into_on(
-        WorkerPool::shared(),
-        alg,
-        adj,
-        state,
-        worklist,
-        threads,
-        staging,
-        changed,
-    )
-}
-
-/// [`par_recompute_rows_into`] against an explicit pool instead of the
-/// process-wide shared one.  The route server uses a dedicated pool so
-/// that fault plans keyed on epoch indices are deterministic (the shared
-/// pool's epoch counter depends on whatever else the process ran).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_recompute_rows_into_on<A>(
-    pool: &WorkerPool,
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    state: &RoutingState<A>,
-    worklist: &[usize],
-    threads: usize,
-    staging: &mut Vec<A::Route>,
-    changed: &mut Vec<bool>,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    let n = adj.node_count();
-    let need = worklist.len() * n;
-    if staging.len() < need {
-        staging.resize(need, alg.invalid());
-    }
-    changed.clear();
-    changed.resize(worklist.len(), false);
-    let recompute_segment = |rows: &[usize], stage: &mut [A::Route], flags: &mut [bool]| {
-        for ((&i, slot), flag) in rows.iter().zip(stage.chunks_mut(n)).zip(flags.iter_mut()) {
-            *flag = sigma_row_into_changed(alg, adj, state, i, slot);
-        }
-    };
-    if threads <= 1 || worklist.len() < 2 {
-        recompute_segment(worklist, &mut staging[..need], changed);
-        return;
-    }
-    let chunks = balanced_chunks(worklist.len(), threads, |pos| {
-        adj.row(worklist[pos]).len() as u64 + 1
-    });
-    let mut stage_rest = &mut staging[..need];
-    let mut flag_rest = changed.as_mut_slice();
-    #[allow(clippy::type_complexity)]
-    let mut first: Option<(&[usize], &mut [A::Route], &mut [bool])> = None;
-    let outcome = pool.scoped(|scope| {
-        for range in chunks {
-            let rows = &worklist[range.clone()];
-            let (stage, stail) =
-                std::mem::take(&mut stage_rest).split_at_mut((range.end - range.start) * n);
-            stage_rest = stail;
-            let (fl, ftail) = std::mem::take(&mut flag_rest).split_at_mut(range.end - range.start);
-            flag_rest = ftail;
-            if first.is_none() {
-                first = Some((rows, stage, fl));
-            } else {
-                scope.execute(move || recompute_segment(rows, stage, fl));
-            }
-        }
-        if let Some((rows, stage, fl)) = first.take() {
-            recompute_segment(rows, stage, fl);
-        }
-    });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier::Frontier;
+    use crate::kernel::tests::{assert_naive, naive, run_kernel};
+    use crate::kernel::Stepper;
     use crate::sigma::sigma;
     use dbf_algebra::prelude::*;
+    use dbf_telemetry::{AggregatingSink, NoopSink};
     use dbf_topology::generators;
+    use std::borrow::Cow;
 
     fn widest_fabric(spines: usize, leaves: usize) -> (WidestPaths, AdjacencyMatrix<WidestPaths>) {
         let alg = WidestPaths::new();
@@ -657,15 +273,17 @@ mod tests {
 
     #[test]
     fn par_sigma_matches_sequential_sigma_for_every_thread_count() {
+        // One committed full-frontier round from an arbitrary state is
+        // σ(x), whichever way the rows were sharded.
         let (alg, adj) = widest_fabric(4, 29);
         let n = adj.node_count();
         let x =
             RoutingState::<WidestPaths>::from_fn(n, |i, j| NatInf::fin(((i * 3 + j) % 40) as u64));
         let expected = sigma(&alg, &adj, &x);
         for threads in [1, 2, 3, 5, 8] {
-            let mut out = RoutingState::uniform(n, NatInf::fin(777));
-            par_sigma_into(&alg, &adj, &x, &mut out, threads);
-            assert_eq!(out, expected, "threads={threads}");
+            let mut s = Stepper::new(Cow::Borrowed(&adj), x.clone(), Frontier::full(n));
+            s.step(&alg, &OnPool::shared(threads), &mut NoopSink);
+            assert!(*s.state() == expected, "threads={threads}");
         }
     }
 
@@ -676,12 +294,16 @@ mod tests {
             .with_weights(|i, j| NatInf::fin(((i * 7 + j * 13) % 9 + 1) as u64));
         let adj = AdjacencyMatrix::from_topology(&topo);
         let x0 = RoutingState::identity(&alg, 37);
-        let seq = iterate_to_fixed_point(&alg, &adj, &x0, 500);
+        let (fixed, k, stable) = naive(&alg, &adj, &x0, 500);
+        assert!(stable);
         for threads in [2, 4, 8] {
-            let par = par_iterate_to_fixed_point(&alg, &adj, &x0, 500, threads);
-            assert_eq!(par.state, seq.state, "threads={threads}");
-            assert_eq!(par.iterations, seq.iterations, "threads={threads}");
-            assert_eq!(par.converged, seq.converged);
+            let par = run_kernel(&alg, &adj, &x0, Frontier::full(37), 500, true, threads);
+            assert!(par.state == fixed, "threads={threads}");
+            assert_eq!(
+                (par.iterations, par.converged),
+                (k, true),
+                "threads={threads}"
+            );
         }
     }
 
@@ -690,92 +312,73 @@ mod tests {
         let (alg, adj) = widest_fabric(3, 13);
         let x0 = RoutingState::identity(&alg, 16);
         for budget in 0..6 {
-            let seq = iterate_to_fixed_point(&alg, &adj, &x0, budget);
-            let par = par_iterate_to_fixed_point(&alg, &adj, &x0, budget, 4);
-            assert_eq!(par.state, seq.state, "budget={budget}");
-            assert_eq!(par.iterations, seq.iterations, "budget={budget}");
-            assert_eq!(par.converged, seq.converged, "budget={budget}");
+            let par = run_kernel(&alg, &adj, &x0, Frontier::full(16), budget, true, 4);
+            assert_naive(&alg, &adj, &x0, &par, budget, true);
         }
     }
 
     #[test]
     fn traced_outcome_and_deterministic_events_are_thread_invariant() {
-        use dbf_telemetry::AggregatingSink;
         let (alg, adj) = widest_fabric(4, 29);
         let n = adj.node_count();
         let x0 = RoutingState::identity(&alg, n);
-        let untraced = par_iterate_to_fixed_point(&alg, &adj, &x0, 500, 4);
+        let (fixed, k, _) = naive(&alg, &adj, &x0, 500);
         let mut deterministic_sides = Vec::new();
         for threads in [1usize, 2, 8] {
             let mut sink = AggregatingSink::new();
-            let out = par_iterate_traced(&alg, &adj, &x0, 500, threads, &mut sink);
-            assert_eq!(out.state, untraced.state, "threads={threads}");
-            assert_eq!(out.iterations, untraced.iterations, "threads={threads}");
+            let s = Stepper::new(Cow::Borrowed(&adj), x0.clone(), Frontier::full(n));
+            let out = s.run(&alg, &OnPool::shared(threads), 500, true, &mut sink);
+            assert!(out.state == fixed, "threads={threads}");
+            assert_eq!(out.iterations, k, "threads={threads}");
             let report = sink.finish();
+            // Band profiling is timing-side, and only sharded rounds have it.
+            assert_eq!(report.timing[0].bands.is_empty(), threads == 1);
             deterministic_sides.push(report.phases);
         }
         assert_eq!(deterministic_sides[0], deterministic_sides[1]);
         assert_eq!(deterministic_sides[0], deterministic_sides[2]);
         let phase = &deterministic_sides[0][0];
         // Rounds include the sweep that detects the fixed point.
-        assert_eq!(phase.rounds, untraced.iterations as u64 + 1);
-        // Row-skip: round 1 sweeps all n rows, later rounds only the
-        // dependants of last round's changed rows — so the recomputation
-        // total sits strictly between one full sweep and rounds·n.
+        assert_eq!(phase.rounds, k as u64 + 1);
+        // Round 1 sweeps all n rows, later rounds only the dependants of
+        // last round's changed rows — so the recomputation total sits
+        // between one full sweep and rounds·n.
         assert!(phase.rows_recomputed >= n as u64);
         assert!(phase.rows_recomputed <= phase.rounds * n as u64);
         assert_eq!(phase.peak_frontier, n as u64, "round 1 sweeps every row");
         let settle = phase.settle.expect("σ engines emit settle events");
         assert_eq!(settle.count, n as u64);
-        assert!(settle.max <= untraced.iterations as u64);
+        assert!(settle.max <= k as u64);
     }
 
     #[test]
-    fn par_recompute_rows_into_is_thread_invariant_and_flags_changes() {
+    fn pool_executor_stages_sigma_rows_and_flags_changes() {
         let alg = BoundedHopCount::new(12);
         let n = 24;
         let topo = generators::line(n).with_weights(|_, _| 1u64);
         let adj = AdjacencyMatrix::<BoundedHopCount>::from_topology(&topo);
-        let x0 = RoutingState::identity(&alg, n);
-        let worklist: Vec<usize> = (0..n).collect();
-        let mut seq_stage = Vec::new();
-        let mut seq_flags = Vec::new();
-        par_recompute_rows_into(
-            &alg,
-            &adj,
-            &x0,
-            &worklist,
-            1,
-            &mut seq_stage,
-            &mut seq_flags,
-        );
-        for threads in [2, 3, 8] {
-            let mut stage = Vec::new();
-            let mut flags = Vec::new();
-            par_recompute_rows_into(&alg, &adj, &x0, &worklist, threads, &mut stage, &mut flags);
-            assert_eq!(flags, seq_flags, "threads={threads}");
-            assert_eq!(stage, seq_stage, "threads={threads}");
+        let x = sigma(&alg, &adj, &RoutingState::identity(&alg, n));
+        let next = sigma(&alg, &adj, &x);
+        let worklists: [Vec<usize>; 3] = [(0..n).collect(), vec![3, 4, 17], vec![9]];
+        for rows in &worklists {
+            for threads in [1, 2, 3, 8] {
+                let mut staging = vec![alg.invalid(); rows.len() * n];
+                let mut changed = vec![false; rows.len()];
+                let work = RoundWork {
+                    round: 1,
+                    adj: &adj,
+                    state: &x,
+                    rows,
+                    staging: &mut staging,
+                    changed: &mut changed,
+                };
+                OnPool::shared(threads).recompute(&alg, work, &mut NoopSink);
+                for (pos, &i) in rows.iter().enumerate() {
+                    let slot = &staging[pos * n..(pos + 1) * n];
+                    assert_eq!(slot, next.row(i), "row {i} threads={threads}");
+                    assert_eq!(changed[pos], next.row(i) != x.row(i), "row {i}");
+                }
+            }
         }
-        // The flags are exactly "the staged table differs from the current
-        // one", and from the identity every line node learns a new route.
-        for (pos, &i) in worklist.iter().enumerate() {
-            let slot = &seq_stage[pos * n..(pos + 1) * n];
-            assert_eq!(seq_flags[pos], slot != x0.row(i), "row {i}");
-            assert!(seq_flags[pos], "row {i} learns one-hop routes");
-        }
-        // The staging buffer is reused, not reallocated: a narrower
-        // worklist keeps the old capacity and only the flag vector shrinks.
-        let cap = seq_stage.len();
-        par_recompute_rows_into(
-            &alg,
-            &adj,
-            &x0,
-            &worklist[..3],
-            2,
-            &mut seq_stage,
-            &mut seq_flags,
-        );
-        assert_eq!(seq_stage.len(), cap);
-        assert_eq!(seq_flags.len(), 3);
     }
 }

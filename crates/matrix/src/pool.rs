@@ -14,7 +14,7 @@
 //! Determinism is unaffected by construction: the pool only decides *which
 //! OS thread* runs a band, never *what* the band computes — band
 //! partitioning stays a pure function of `(n, threads, degree profile)` in
-//! [`crate::parallel`], and each job writes to a disjoint borrow.  The
+//! [`crate::parallel::OnPool`], and each job writes to a disjoint borrow.  The
 //! existing determinism suites (parallel σ, sweep, fuzz) therefore prove
 //! the pool bit-identical to the per-round-spawn implementation.
 //!

@@ -37,8 +37,8 @@ pub fn sigma_entry<A: RoutingAlgebra>(
 
 /// One synchronous round `σ(X)`, written into an existing state buffer.
 ///
-/// This is the allocation-free work-horse behind [`sigma`] and the
-/// double-buffered fixed-point loop in [`crate::sync`].  It sweeps row-wise:
+/// This is the allocation-free work-horse behind [`sigma`].  It sweeps
+/// row-wise:
 /// node `i`'s next table is the ⊕-fold of `A_ik` applied pointwise to
 /// neighbour `k`'s *entire current table*, so both the read of `X[k][·]`
 /// and the write of `σ(X)[i][·]` stream over contiguous memory — at
@@ -69,9 +69,9 @@ pub fn sigma_into<A: RoutingAlgebra>(
 /// Recompute node `i`'s entire next table `σ(X)[i][·]` into `out` (a slice
 /// of length `n`).
 ///
-/// This is one row of [`sigma_into`], exposed so the incremental engine in
-/// [`crate::incremental`] can recompute only the rows a topology change (or
-/// a neighbour's update) actually perturbs.  The write streams over `out`
+/// This is one row of [`sigma_into`], exposed so the σ kernel in
+/// [`crate::kernel`] can recompute only the rows a topology change (or a
+/// neighbour's update) actually perturbs.  The write streams over `out`
 /// once per present link, so the cost is `O(deg(i) · n)`.
 ///
 /// # Panics

@@ -90,12 +90,16 @@ impl<A: RoutingAlgebra> RoutingState<A> {
         &mut self.entries[i * self.n..(i + 1) * self.n]
     }
 
-    /// The row-major backing storage (`n · n` routes, row `i` at
-    /// `[i·n, (i+1)·n)`).  The parallel row sweep in [`crate::parallel`]
-    /// splits this into disjoint contiguous row bands, one per worker, so
-    /// every thread writes its own region without synchronisation.
-    pub(crate) fn entries_mut(&mut self) -> &mut [A::Route] {
-        &mut self.entries
+    /// Exchange the row-major backing storage (`n · n` routes, row `i` at
+    /// `[i·n, (i+1)·n)`) with `entries`.  The σ kernel uses this to adopt a
+    /// round in which it staged every row, instead of copying them back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` does not hold exactly `n · n` routes.
+    pub(crate) fn swap_entries(&mut self, entries: &mut Vec<A::Route>) {
+        assert_eq!(entries.len(), self.entries.len(), "state size mismatch");
+        std::mem::swap(&mut self.entries, entries);
     }
 
     /// Iterate over all entries as `(i, j, &route)`, in row-major order.

@@ -2,8 +2,10 @@
 
 use dbf_algebra::prelude::*;
 use dbf_matrix::prelude::*;
+use dbf_telemetry::NoopSink;
 use dbf_topology::generators;
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 const N: usize = 5;
 
@@ -39,6 +41,48 @@ fn build_adj(mask: u32, weights: &[u64]) -> AdjacencyMatrix<ShortestPaths> {
 
 fn build_state(entries: &[NatInf]) -> RoutingState<ShortestPaths> {
     RoutingState::from_fn(N, |i, j| entries[i * N + j])
+}
+
+/// The naive reference for a σ run with a budget: apply σ until the state
+/// is stable or `budget` applications have changed it.  Returns
+/// `(σ^k(x0), k, converged)`.
+fn naive(
+    alg: &ShortestPaths,
+    adj: &AdjacencyMatrix<ShortestPaths>,
+    x0: &RoutingState<ShortestPaths>,
+    budget: usize,
+) -> (RoutingState<ShortestPaths>, usize, bool) {
+    let mut x = x0.clone();
+    for k in 0..=budget {
+        let next = sigma(alg, adj, &x);
+        if next == x {
+            return (x, k, true);
+        }
+        if k == budget {
+            break;
+        }
+        x = next;
+    }
+    (x, budget, false)
+}
+
+/// Run the σ kernel with the budget probe from `x0` with `start` on the
+/// frontier, sharded across `threads`.
+fn kernel(
+    alg: &ShortestPaths,
+    adj: &AdjacencyMatrix<ShortestPaths>,
+    x0: &RoutingState<ShortestPaths>,
+    start: Frontier,
+    budget: usize,
+    threads: usize,
+) -> SigmaOutcome<ShortestPaths> {
+    Stepper::new(Cow::Borrowed(adj), x0.clone(), start).run(
+        alg,
+        &OnPool::shared(threads),
+        budget,
+        true,
+        &mut NoopSink,
+    )
 }
 
 proptest! {
@@ -128,36 +172,66 @@ proptest! {
         prop_assert_eq!(from_garbage.state, clean.state);
     }
 
-    /// The frontier-driven fixed-point loop walks the **exact** naive σ
-    /// trajectory: from any start state on any topology, its result equals
-    /// `σ^k(x0)` at the iteration count it reports, every counted round
-    /// really changed the state (no phantom or skipped rounds), and the
-    /// sharded parallel loop agrees bit-for-bit.
+    /// The frontier kernel walks the **exact** naive σ trajectory: from
+    /// any start state on any topology, inline and sharded, it lands on
+    /// `σ^k(x0)` with `k` the first stable index (or the budget), and
+    /// reports convergence exactly when that state is stable.
     #[test]
-    fn frontier_loop_matches_the_naive_sigma_trajectory((mask, w) in adjacency(), entries in state()) {
+    fn frontier_loop_matches_the_naive_sigma_trajectory(
+        (mask, w) in adjacency(),
+        entries in state(),
+        budget in 0usize..8,
+    ) {
         let alg = ShortestPaths::new();
         let adj = build_adj(mask, &w);
         let x0 = build_state(&entries);
-        let budget = 64;
-        let out = iterate_to_fixed_point(&alg, &adj, &x0, budget);
-        // Endpoint: the frontier loop lands exactly on σ^iterations(x0).
-        prop_assert_eq!(&out.state, &sigma_k(&alg, &adj, &x0, out.iterations));
-        if out.converged {
-            prop_assert!(is_stable(&alg, &adj, &out.state));
-            // Round count is tight: one σ fewer does not reach the fixed
-            // point (unless x0 was already stable).
-            if out.iterations > 0 {
-                let prefix = sigma_k(&alg, &adj, &x0, out.iterations - 1);
-                prop_assert!(
-                    prefix != out.state || out.iterations == 1,
-                    "a counted round changed nothing"
-                );
-            }
+        let (expected, k, stable) = naive(&alg, &adj, &x0, budget);
+        for threads in [1, 3] {
+            let out = kernel(&alg, &adj, &x0, Frontier::full(N), budget, threads);
+            prop_assert_eq!(&out.state, &expected, "threads={}", threads);
+            prop_assert_eq!(out.iterations, k, "threads={}", threads);
+            prop_assert_eq!(out.converged, stable, "threads={}", threads);
         }
-        let par = par_iterate_to_fixed_point(&alg, &adj, &x0, budget, 3);
-        prop_assert_eq!(par.state, out.state);
-        prop_assert_eq!(par.iterations, out.iterations);
-        prop_assert_eq!(par.converged, out.converged);
+    }
+
+    /// A dirty-mask start is the naive trajectory too, when the start
+    /// state is a fixed point of the old topology and the mask covers
+    /// every row whose import set changed: rows are rewired at random,
+    /// the mask adds random extra rows, and the kernel must land where
+    /// naive σ on the new topology lands, in as many changing rounds.
+    #[test]
+    fn dirty_mask_start_matches_the_naive_sigma_trajectory(
+        (mask_a, w_a) in adjacency(),
+        (mask_b, w_b) in adjacency(),
+        rewired in any::<u8>(),
+        extra in any::<u8>(),
+    ) {
+        let alg = ShortestPaths::new();
+        let old = build_adj(mask_a, &w_a);
+        let other = build_adj(mask_b, &w_b);
+        let new = AdjacencyMatrix::from_fn(N, |i, j| {
+            let src = if (rewired >> i) & 1 == 1 { &other } else { &old };
+            src.get(i, j).copied()
+        });
+        let fixed = iterate_to_fixed_point(&alg, &old, &RoutingState::identity(&alg, N), 200);
+        prop_assert!(fixed.converged);
+        let dirty: Vec<bool> = dirty_rows_after_change(&old, &new)
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| d || (extra >> i) & 1 == 1)
+            .collect();
+        let budget = 64;
+        // Removals on the unbounded carrier may count to infinity: then
+        // neither side converges within the budget, and both must say so.
+        let (expected, k, stable) = naive(&alg, &new, &fixed.state, budget);
+        for threads in [1, 3] {
+            let start = Frontier::from_mask(&dirty);
+            let out = kernel(&alg, &new, &fixed.state, start, budget, threads);
+            prop_assert_eq!(&out.state, &expected, "threads={}", threads);
+            prop_assert_eq!(out.iterations, k, "threads={}", threads);
+            prop_assert_eq!(out.converged, stable, "threads={}", threads);
+            prop_assert!(out.row_recomputations <= (out.rounds * N) as u64);
+        }
     }
 
     /// The exhaustive oracle is never worse than the σ fixed point (local

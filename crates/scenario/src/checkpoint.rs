@@ -25,6 +25,17 @@
 //! Formats are versioned line-oriented text (`# dbf-checkpoint v1`,
 //! `# dbf-wal v1`), written atomically (temp file + rename) for the
 //! snapshot and append-plus-flush for the WAL.
+//!
+//! # What durability this gives
+//!
+//! A WAL append is flushed from the process's buffer to the operating
+//! system, not `fsync`ed; the snapshot's temp file is not `fsync`ed before
+//! the rename, nor its directory after.  Recovery is therefore proven
+//! against the *process* being killed — every flushed byte is still in
+//! the OS — but not against power loss or an OS crash, which can drop or
+//! reorder unsynced writes.  Power-loss durability (group-commit `fsync`
+//! before answers are released, `fsync` of the snapshot file and its
+//! directory around the rename) is an open item on the roadmap.
 
 use crate::report::Digest;
 use dbf_algebra::prelude::NatInf;

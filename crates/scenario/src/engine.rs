@@ -54,15 +54,15 @@ use dbf_async::sim::{EventSim, SimConfig};
 use dbf_async::{run_delta, DeltaOutcome};
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_matrix::{
-    dirty_rows_after_change, is_stable, par_iterate_dirty_to_fixed_point, par_iterate_dirty_traced,
-    par_iterate_to_fixed_point, par_iterate_traced, AdjacencyMatrix, IncrementalOutcome,
-    NodePermutation, RoutingState, RowOrder, SyncOutcome,
+    dirty_rows_after_change, is_stable, AdjacencyMatrix, Frontier, NodePermutation, OnPool,
+    RoutingState, RowOrder, Stepper,
 };
 use dbf_protocols::bgp::{BgpConfig, BgpEngine};
 use dbf_protocols::rip::{RipConfig, RipEngine};
 use dbf_protocols::runtime::{run_threaded, ThreadedConfig};
 use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// The algebra bounds every engine can rely on: the threaded runtime needs
@@ -487,49 +487,6 @@ fn sync_iteration_budget<A: RoutingAlgebra>(p: &Problem<A>) -> usize {
     dbf_matrix::iteration_budget(p.adj.node_count(), p.round_budget)
 }
 
-/// One synchronous σ phase: traced when the sink is live, untraced (all
-/// instrumentation compiled out) when it is not.
-fn sigma_phase<A: ScenarioAlgebra>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    state: &RoutingState<A>,
-    budget: usize,
-    threads: usize,
-    tel: &mut dyn TelemetrySink,
-) -> SyncOutcome<A>
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    if tel.enabled() {
-        par_iterate_traced(alg, adj, state, budget, threads, tel)
-    } else {
-        par_iterate_to_fixed_point(alg, adj, state, budget, threads)
-    }
-}
-
-/// One incremental dirty-row σ phase, traced or untraced like
-/// [`sigma_phase`].
-fn dirty_phase<A: ScenarioAlgebra>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    state: &RoutingState<A>,
-    dirty: &[bool],
-    budget: usize,
-    threads: usize,
-    tel: &mut dyn TelemetrySink,
-) -> IncrementalOutcome<A>
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    if tel.enabled() {
-        par_iterate_dirty_traced(alg, adj, state, dirty, budget, threads, tel)
-    } else {
-        par_iterate_dirty_to_fixed_point(alg, adj, state, dirty, budget, threads)
-    }
-}
-
 fn schedule_for(faults: &FaultSpec, n: usize, seed: u64) -> Schedule {
     match faults.schedule {
         ScheduleSpec::AdversarialStale { victim, period } => Schedule::adversarial_stale(
@@ -625,8 +582,129 @@ impl TelemetrySink for RelabelSink<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Engine 1: synchronous σ
+// Engines 1 and 2: the σ kernel, full and incremental
 // ---------------------------------------------------------------------
+
+/// The two σ-kernel engines differ only in the start frontier of a phase,
+/// the budget probe, and the counts they report.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SigmaMode {
+    /// Every phase starts with every row on the frontier, and a fixed
+    /// point is certified by a round that changed nothing (probed at the
+    /// budget).  `rounds` = `work` = σ applications that changed the state.
+    Sync,
+    /// A phase after a converged one starts from the rows its topology
+    /// change perturbed.  `rounds` counts every round, `work` the row
+    /// recomputations.
+    Incremental,
+}
+
+/// Run every phase of `problems` through the σ kernel, carrying the state
+/// from phase to phase.
+fn sigma_engine_run<A: ScenarioAlgebra>(
+    mode: SigmaMode,
+    alg: &A,
+    problems: &[Problem<A>],
+    threads: usize,
+    row_order: RowOrder,
+    tel: &mut dyn TelemetrySink,
+) -> EngineRun
+where
+    A::Route: Send + Sync + 'static,
+    A::Edge: PartialEq + Send + Sync + 'static,
+{
+    let name = match mode {
+        SigmaMode::Sync => "sync",
+        SigmaMode::Incremental => "incremental",
+    };
+    tel.run_start(name, name);
+    let exec = OnPool::shared(threads);
+    let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
+    let mut phases = Vec::with_capacity(problems.len());
+    // The dirty-row start is only sound from a fixed point of the previous
+    // phase; a phase that failed to converge (budget exhausted on a
+    // non-increasing algebra) poisons it.
+    let mut prev: Option<(usize, bool)> = None;
+    for (k, p) in problems.iter().enumerate() {
+        let n = p.adj.node_count();
+        state = carry(alg, state, n);
+        // The dirty mask is diffed in the original node space (the spec's
+        // adjacency pair), then relabeled alongside the state: the
+        // permuted frontiers are the same row *sets*, so rounds and row
+        // recomputations are identical for every ordering.
+        let dirty = match (mode, prev) {
+            (SigmaMode::Incremental, Some((prev_k, true))) => {
+                Some(dirty_rows_after_change(&problems[prev_k].adj, &p.adj))
+            }
+            _ => None,
+        };
+        // The relabeling is pure setup: σ is equivariant under it, so
+        // iterating the permuted problem and inverting the permutation
+        // afterwards lands on the exact state — and digest — the
+        // unpermuted iteration produces.
+        let perm = NodePermutation::for_order(row_order, &p.adj);
+        let start_frontier = |perm: &NodePermutation| match &dirty {
+            Some(mask) => Frontier::from_mask(&perm.permute_mask(mask)),
+            None => Frontier::full(n),
+        };
+        let budget = sync_iteration_budget(p);
+        let probe = mode == SigmaMode::Sync;
+        tel.phase_start(&p.label, n);
+        let start = Instant::now();
+        let out = if perm.is_identity() {
+            let stepper = Stepper::new(Cow::Borrowed(&p.adj), state, start_frontier(&perm));
+            stepper.run(alg, &exec, budget, probe, tel)
+        } else {
+            let padj = p.adj.permuted(&perm);
+            let stepper = Stepper::new(
+                Cow::Owned(padj),
+                state.permuted(&perm),
+                start_frontier(&perm),
+            );
+            let mut relabel = RelabelSink {
+                inner: &mut *tel,
+                perm: &perm,
+            };
+            let mut out = stepper.run(alg, &exec, budget, probe, &mut relabel);
+            out.state = out.state.unpermuted(&perm);
+            out
+        };
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        tel.phase_end(&p.label);
+        state = out.state;
+        prev = Some((k, out.converged));
+        let (rounds, work, sigma_stable) = match mode {
+            // A converged run *is* the stability proof (its last round
+            // changed no row); re-running σ to check would cost a full
+            // extra round plus an n² allocation.  The fallback only fires
+            // on budget exhaustion, outside the timed window.
+            SigmaMode::Sync => (
+                out.iterations as u64,
+                out.iterations as u64,
+                out.converged || is_stable(alg, &p.adj, &state),
+            ),
+            // An empty frontier is a proof of σ-stability: every row was
+            // recomputed after its inputs last changed.
+            SigmaMode::Incremental => (out.rounds as u64, out.row_recomputations, out.converged),
+        };
+        phases.push(PhaseOutcome {
+            label: p.label.clone(),
+            sigma_stable,
+            rounds,
+            predicted_bound: None,
+            work,
+            messages: None,
+            bytes: None,
+            wall_ms,
+            digest: state_digest(&state),
+        });
+    }
+    EngineRun {
+        engine: name.into(),
+        phases,
+        error: None,
+    }
+}
 
 /// Synchronous σ-iteration to a fixed point (`dbf-matrix`) — the reference
 /// semantics every other engine is checked against.
@@ -661,78 +739,15 @@ where
         row_order: RowOrder,
         tel: &mut dyn TelemetrySink,
     ) -> EngineRun {
-        tel.run_start("sync", "sync");
-        let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
-        let mut phases = Vec::with_capacity(problems.len());
-        for p in problems {
-            let n = p.adj.node_count();
-            state = carry(alg, state, n);
-            // The relabeling is pure setup: σ is equivariant under it, so
-            // iterating the permuted problem and inverting the permutation
-            // afterwards lands on the exact state — and digest — the
-            // unpermuted iteration produces.
-            let perm = NodePermutation::for_order(row_order, &p.adj);
-            tel.phase_start(&p.label, n);
-            let start = Instant::now();
-            let out = if perm.is_identity() {
-                sigma_phase(alg, &p.adj, &state, sync_iteration_budget(p), threads, tel)
-            } else {
-                let padj = p.adj.permuted(&perm);
-                let pstate = state.permuted(&perm);
-                let mut relabel = RelabelSink {
-                    inner: &mut *tel,
-                    perm: &perm,
-                };
-                let mut out = sigma_phase(
-                    alg,
-                    &padj,
-                    &pstate,
-                    sync_iteration_budget(p),
-                    threads,
-                    &mut relabel,
-                );
-                out.state = out.state.unpermuted(&perm);
-                out
-            };
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            tel.phase_end(&p.label);
-            // A converged iteration *is* the stability proof (the last
-            // round changed no row); re-running σ to check would cost a
-            // full extra round plus an n² allocation — at n = 10⁴ a large
-            // slice of the phase's run time.  The fallback only fires on
-            // budget exhaustion, and sits outside the timed window like
-            // the pre-parallel engine's check did, keeping wall_ms
-            // entries comparable across the benchmark trajectory.
-            let sigma_stable = out.converged || is_stable(alg, &p.adj, &out.state);
-            state = out.state;
-            phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                sigma_stable,
-                rounds: out.iterations as u64,
-                predicted_bound: None,
-                work: out.iterations as u64,
-                messages: None,
-                bytes: None,
-                wall_ms,
-                digest: state_digest(&state),
-            });
-        }
-        EngineRun {
-            engine: "sync".into(),
-            phases,
-            error: None,
-        }
+        sigma_engine_run(SigmaMode::Sync, alg, problems, threads, row_order, tel)
     }
 }
 
-// ---------------------------------------------------------------------
-// Engine 2: incremental dirty-row σ
-// ---------------------------------------------------------------------
-
-/// Incremental σ (`dbf-matrix::incremental`): tracks dirty rows so a
-/// topology change recomputes only the perturbed region, while reproducing
-/// the synchronous trajectory state-for-state.  `work` counts row
-/// recomputations (a full σ round costs `n` of them).
+/// Incremental σ (`dbf-matrix::kernel`): a phase after a topology change
+/// starts from the rows the change perturbed, so it recomputes only the
+/// perturbed region, while reproducing the synchronous trajectory
+/// state-for-state.  `work` counts row recomputations (a full σ round
+/// costs `n` of them).
 pub struct IncrementalEngine;
 
 impl<A: ScenarioAlgebra> Engine<A> for IncrementalEngine
@@ -764,82 +779,14 @@ where
         row_order: RowOrder,
         tel: &mut dyn TelemetrySink,
     ) -> EngineRun {
-        tel.run_start("incremental", "incremental");
-        let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
-        let mut phases = Vec::with_capacity(problems.len());
-        // The dirty-start optimisation is only sound from a fixed point of
-        // the previous phase; a phase that failed to converge (budget
-        // exhausted on a non-increasing algebra) poisons it.
-        let mut prev: Option<(usize, bool)> = None;
-        for (k, p) in problems.iter().enumerate() {
-            let n = p.adj.node_count();
-            state = carry(alg, state, n);
-            let perm = NodePermutation::for_order(row_order, &p.adj);
-            tel.phase_start(&p.label, n);
-            let start = Instant::now();
-            // The dirty mask is diffed in the original node space (the
-            // spec's adjacency pair), then relabeled alongside the state:
-            // the permuted worklists are the same row *sets*, so rounds and
-            // row-recomputation counts are identical for every ordering.
-            let dirty = match prev {
-                Some((prev_k, true)) => dirty_rows_after_change(&problems[prev_k].adj, &p.adj),
-                _ => vec![true; n],
-            };
-            let out = if perm.is_identity() {
-                dirty_phase(
-                    alg,
-                    &p.adj,
-                    &state,
-                    &dirty,
-                    sync_iteration_budget(p),
-                    threads,
-                    tel,
-                )
-            } else {
-                let padj = p.adj.permuted(&perm);
-                let pstate = state.permuted(&perm);
-                let pdirty = perm.permute_mask(&dirty);
-                let mut relabel = RelabelSink {
-                    inner: &mut *tel,
-                    perm: &perm,
-                };
-                let mut out = dirty_phase(
-                    alg,
-                    &padj,
-                    &pstate,
-                    &pdirty,
-                    sync_iteration_budget(p),
-                    threads,
-                    &mut relabel,
-                );
-                out.state = out.state.unpermuted(&perm);
-                out
-            };
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            tel.phase_end(&p.label);
-            state = out.state;
-            prev = Some((k, out.converged));
-            phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                // An empty dirty set is a proof of σ-stability (every row
-                // was recomputed after its inputs last changed), so no
-                // separate full-σ stability sweep is needed — that sweep
-                // would cost more than the incremental phase itself.
-                sigma_stable: out.converged,
-                rounds: out.rounds as u64,
-                predicted_bound: None,
-                work: out.row_recomputations,
-                messages: None,
-                bytes: None,
-                wall_ms,
-                digest: state_digest(&state),
-            });
-        }
-        EngineRun {
-            engine: "incremental".into(),
-            phases,
-            error: None,
-        }
+        sigma_engine_run(
+            SigmaMode::Incremental,
+            alg,
+            problems,
+            threads,
+            row_order,
+            tel,
+        )
     }
 }
 

@@ -86,7 +86,7 @@ fn phase_timing_json(t: &PhaseTiming) -> Json {
 ///
 /// Schema v2 adds `peak_frontier`: the largest *active* frontier any round
 /// carried (rows whose inputs changed), alongside `max_scheduled` (rows the
-/// engine swept, frontier plus copies).
+/// engine scheduled; the σ kernel schedules exactly its frontier).
 pub fn metrics_json(report: &MetricsReport) -> Json {
     Json::Obj(vec![
         ("schema_version".into(), Json::Int(2)),

@@ -9,10 +9,10 @@
 //! *pre-batch vs post-batch* adjacency
 //! ([`dbf_matrix::dirty_rows_after_change`]), so overlapping or mutually
 //! cancelling changes coalesce maximally (a change that is undone within
-//! the same batch dirties nothing).  The reconvergence itself is the
-//! incremental dirty-row σ kernel running on a persistent
-//! [`dbf_matrix::WorkerPool`], which makes the result bit-identical at
-//! any thread count.
+//! the same batch dirties nothing).  The reconvergence itself is the σ
+//! kernel ([`dbf_matrix::Stepper`]) started from those rows and stepped
+//! on a persistent [`dbf_matrix::WorkerPool`], which makes the result
+//! bit-identical at any thread count.
 //!
 //! Soundness of batching: rows whose adjacency row is unchanged keep
 //! their old routing row, and the old state was a fixed point, so σ is
@@ -49,9 +49,9 @@
 //! reconvergence a round at a time as queries arrive — wall-clock only
 //! decides *when* the new table is adopted, never *what* it contains,
 //! so the deterministic counters and digests are unaffected.  Transient
-//! kernel failures (a poisoned pool, an injected panic) are retried with
-//! bounded exponential backoff and supervision in between; persistent
-//! ones surface as a structured [`ServeProblem`].
+//! kernel failures (a poisoned pool, an injected panic) retry the failed
+//! σ round with bounded exponential backoff and supervision in between;
+//! persistent ones surface as a structured [`ServeProblem`].
 //!
 //! [`replay_trace`] drives a server from a seeded [`ChurnTrace`] — the
 //! sustained-churn benchmark behind `scenarios serve --replay` and
@@ -73,11 +73,12 @@ use crate::spec::{ChangeSpec, SpecError, TopologySpec, WeightRule};
 use dbf_algebra::algebra::SplitMix64;
 use dbf_algebra::prelude::*;
 use dbf_matrix::{
-    dirty_rows_after_change, iteration_budget, par_iterate_dirty_traced_on, AdjacencyMatrix,
-    FaultPlan, IncrementalOutcome, PoolStats, RoutingState, WorkerPool,
+    dirty_rows_after_change, iteration_budget, AdjacencyMatrix, FaultPlan, Frontier, OnPool,
+    PoolStats, RoutingState, Stepper, WorkerPool,
 };
 use dbf_telemetry::{SettleSummary, TelemetrySink};
 use dbf_topology::Topology;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -710,21 +711,17 @@ impl ServeStats {
     }
 }
 
-/// A parked, partially-converged flush: the server went over its
-/// deadline, kept the old stable table for queries, and resumes this
-/// work incrementally.  The residual dirty mask makes resumption exact —
-/// the chunked trajectory is the uninterrupted trajectory.
+/// A flush's reconvergence: the σ stepper over the batch's new adjacency
+/// plus the batch's accounting.  When the flush overruns its deadline the
+/// server parks it, keeps the old stable table for queries, and steps it
+/// onwards later; a stepped run is the uninterrupted run.
 struct DegradedWork<A>
 where
     A: ScenarioAlgebra,
     A::Route: Send + Sync + 'static,
     A::Edge: PartialEq + Send + Sync + 'static,
 {
-    adj: AdjacencyMatrix<A>,
-    state: RoutingState<A>,
-    dirty: Vec<bool>,
-    rounds: u64,
-    recomps: u64,
+    stepper: Stepper<'static, A>,
     naive_dirty: u64,
     batch_dirty: u64,
     batch_len: u64,
@@ -821,25 +818,23 @@ where
     /// point).
     pub fn initial_converge(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), SpecError> {
         let n = self.adj.node_count();
-        let dirty = vec![true; n];
-        let outcome = kernel_retry(
-            &self.pool,
-            &self.alg,
-            &self.adj,
-            &self.state,
-            &dirty,
+        let adj = Cow::Owned(self.adj.clone());
+        let mut stepper = Stepper::new(adj, self.state.clone(), Frontier::full(n));
+        self.step_rounds(
+            &mut stepper,
             iteration_budget(n, None),
-            self.threads,
-            &mut self.stats.flush_retries,
+            usize::MAX,
+            None,
             tel,
         )
         .map_err(SpecError::from)?;
-        if !outcome.converged {
+        if !stepper.is_settled() {
             return Err(SpecError::new(
                 "initial convergence exhausted its iteration budget",
             ));
         }
-        self.state = outcome.state;
+        stepper.emit_settles(tel);
+        self.state = stepper.finish().0.state;
         Ok(())
     }
 
@@ -1051,24 +1046,20 @@ where
         // leave the cached table unreachably optimistic
         // (count-to-infinity); restart from the identity unless the
         // batch coalesced to no adjacency change.
-        let (x0, dirty) = if self.removal_restart && worsened && batch_dirty > 0 {
-            (RoutingState::identity(&self.alg, n), vec![true; n])
+        let (x0, start) = if self.removal_restart && worsened && batch_dirty > 0 {
+            (RoutingState::identity(&self.alg, n), Frontier::full(n))
         } else {
             let x0 = if self.state.node_count() < n {
                 self.state.grown(&self.alg, n)
             } else {
                 self.state.clone()
             };
-            (x0, dirty)
+            (x0, Frontier::from_mask(&dirty))
         };
         let work = DegradedWork {
             budget: iteration_budget(n, None),
             bound: self.bound.rounds(n, &self.overrides),
-            adj: new_adj,
-            state: x0,
-            dirty,
-            rounds: 0,
-            recomps: 0,
+            stepper: Stepper::new(Cow::Owned(new_adj), x0, start),
             naive_dirty,
             batch_dirty,
             batch_len: batch.len() as u64,
@@ -1080,69 +1071,78 @@ where
 
     /// Drive `work` to a fixed point, or park it on deadline overrun.
     ///
-    /// With a deadline in force the kernel runs one round per call so
-    /// the overrun check lands between rounds; the chunked trajectory is
-    /// identical to the unchunked one (Jacobi staging — each round reads
-    /// only the previous round's state, and the frontier is rebuilt from
-    /// the sorted residual dirty mask), so deterministic counters are
-    /// unaffected by the chunk size.
+    /// With a deadline in force the overrun check lands between rounds.
+    /// Parking keeps the stepper, so the rounds stepped later continue the
+    /// same trajectory and the deterministic counters do not depend on
+    /// where the deadline fell.
     fn converge(
         &mut self,
         mut work: DegradedWork<A>,
         tel: &mut dyn TelemetrySink,
     ) -> Result<(), ServeProblem> {
-        let deadline = self.deadline_duration();
-        let chunk = if deadline.is_some() { 1 } else { work.budget };
-        loop {
-            let left = work.budget.saturating_sub(work.rounds as usize).max(1);
-            let outcome = kernel_retry(
-                &self.pool,
-                &self.alg,
-                &work.adj,
-                &work.state,
-                &work.dirty,
-                chunk.min(left),
-                self.threads,
-                &mut self.stats.flush_retries,
-                tel,
-            )?;
-            work.rounds += outcome.rounds as u64;
-            work.recomps += outcome.row_recomputations;
-            work.state = outcome.state;
-            if outcome.converged {
-                self.commit(work, tel);
-                return Ok(());
+        let until = self.deadline_duration().map(|d| work.started + d);
+        self.step_rounds(&mut work.stepper, work.budget, usize::MAX, until, tel)?;
+        if work.stepper.is_settled() {
+            self.commit(work, tel);
+            return Ok(());
+        }
+        if work.stepper.rounds() >= work.budget {
+            return Err(ServeProblem::budget(self.stats.batches));
+        }
+        self.stats.deadline_overruns += 1;
+        tel.serve_degraded(self.stats.batches, work.stepper.rounds() as u64);
+        self.degraded = Some(work);
+        Ok(())
+    }
+
+    /// Step `stepper` until it settles, has committed `budget` rounds in
+    /// all, has run `max_rounds` more, or a round ends past `until`.  Each
+    /// round runs under [`kernel_retry`], so a transient failure repeats
+    /// that round only.
+    fn step_rounds(
+        &mut self,
+        stepper: &mut Stepper<'static, A>,
+        budget: usize,
+        max_rounds: usize,
+        until: Option<Instant>,
+        tel: &mut dyn TelemetrySink,
+    ) -> Result<(), ServeProblem> {
+        let pool = self.pool.get();
+        let exec = OnPool {
+            pool,
+            threads: self.threads,
+        };
+        for _ in 0..max_rounds {
+            if stepper.is_settled() || stepper.rounds() >= budget {
+                break;
             }
-            work.dirty = outcome.dirty;
-            if work.rounds >= work.budget as u64 {
-                return Err(ServeProblem::budget(self.stats.batches));
-            }
-            if let Some(d) = deadline {
-                if work.started.elapsed() >= d {
-                    self.stats.deadline_overruns += 1;
-                    tel.serve_degraded(self.stats.batches, work.rounds);
-                    self.degraded = Some(work);
-                    return Ok(());
-                }
+            kernel_retry(pool, &mut self.stats.flush_retries, || {
+                stepper.step(&self.alg, &exec, &mut *tel)
+            })?;
+            if until.is_some_and(|t| Instant::now() >= t) {
+                break;
             }
         }
+        Ok(())
     }
 
     /// Adopt a converged flush: fold its counters into the stats, audit
     /// the bound, update the per-round cost EMA, and install the new
     /// adjacency and table.
     fn commit(&mut self, work: DegradedWork<A>, tel: &mut dyn TelemetrySink) {
+        work.stepper.emit_settles(tel);
+        let rounds = work.stepper.rounds() as u64;
         self.stats.batches += 1;
         self.stats.naive_dirty_rows += work.naive_dirty;
         self.stats.batch_dirty_rows += work.batch_dirty;
-        self.stats.rounds += work.rounds;
-        self.stats.row_recomputations += work.recomps;
-        if work.rounds > self.stats.worst_flush_rounds {
-            self.stats.worst_flush_rounds = work.rounds;
+        self.stats.rounds += rounds;
+        self.stats.row_recomputations += work.stepper.row_recomputations();
+        if rounds > self.stats.worst_flush_rounds {
+            self.stats.worst_flush_rounds = rounds;
             self.stats.worst_flush_bound = work.bound.unwrap_or(0);
         }
         if let Some(b) = work.bound {
-            if work.rounds <= b {
+            if rounds <= b {
                 self.stats.bound_ok += 1;
             }
         }
@@ -1151,19 +1151,20 @@ where
             work.batch_len,
             work.naive_dirty,
             work.batch_dirty,
-            work.rounds,
+            rounds,
         );
         let us = work.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        if work.rounds > 0 {
-            let per = us as f64 / work.rounds as f64;
+        if rounds > 0 {
+            let per = us as f64 / rounds as f64;
             self.ema_us_per_round = if self.ema_us_per_round > 0.0 {
                 0.8 * self.ema_us_per_round + 0.2 * per
             } else {
                 per
             };
         }
-        self.adj = work.adj;
-        self.state = work.state;
+        let (outcome, adj) = work.stepper.finish();
+        self.adj = adj.into_owned();
+        self.state = outcome.state;
         self.stats.convergence_us.push(us);
     }
 
@@ -1177,28 +1178,14 @@ where
         let Some(mut work) = self.degraded.take() else {
             return Ok(true);
         };
-        let left = work.budget.saturating_sub(work.rounds as usize).max(1);
-        let outcome = kernel_retry(
-            &self.pool,
-            &self.alg,
-            &work.adj,
-            &work.state,
-            &work.dirty,
-            chunk.min(left),
-            self.threads,
-            &mut self.stats.flush_retries,
-            tel,
-        )?;
-        work.rounds += outcome.rounds as u64;
-        work.recomps += outcome.row_recomputations;
-        work.state = outcome.state;
-        if outcome.converged {
-            tel.serve_restored(self.stats.batches, work.rounds, work.stale_served);
+        self.step_rounds(&mut work.stepper, work.budget, chunk, None, tel)?;
+        if work.stepper.is_settled() {
+            let rounds = work.stepper.rounds() as u64;
+            tel.serve_restored(self.stats.batches, rounds, work.stale_served);
             self.commit(work, tel);
             return Ok(true);
         }
-        work.dirty = outcome.dirty;
-        if work.rounds >= work.budget as u64 {
+        if work.stepper.rounds() >= work.budget {
             return Err(ServeProblem::budget(self.stats.batches));
         }
         self.degraded = Some(work);
@@ -1257,39 +1244,25 @@ where
     }
 }
 
-/// Run the σ kernel with supervision and bounded-backoff retry: a
-/// panicking sweep (poisoned pool, injected fault) is caught, the pool's
-/// dead workers are replaced, and the sweep is retried up to 3 times
-/// with 1/2/4ms backoff before surfacing a structured `kernel` problem.
-#[allow(clippy::too_many_arguments)]
-fn kernel_retry<A>(
-    pool: &PoolHandle,
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    threads: usize,
+/// Run one σ round with supervision and bounded-backoff retry: a
+/// panicking round (poisoned pool, injected fault) is caught, the pool's
+/// dead workers are replaced, and the round is retried up to 3 times with
+/// 1/2ms backoff before surfacing a structured `kernel` problem.  A round
+/// commits nothing until its sweep has finished, so the retry is the same
+/// round, and its events reach the sink once.
+fn kernel_retry<T>(
+    pool: &WorkerPool,
     retries: &mut u64,
-    tel: &mut dyn TelemetrySink,
-) -> Result<IncrementalOutcome<A>, ServeProblem>
-where
-    A: ScenarioAlgebra,
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
+    mut round: impl FnMut() -> T,
+) -> Result<T, ServeProblem> {
     let mut attempt = 0u32;
     loop {
-        let p = pool.get();
-        p.supervise();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_iterate_dirty_traced_on(p, alg, adj, x0, dirty0, max_rounds, threads, tel)
-        }));
-        match result {
-            Ok(outcome) => return Ok(outcome),
+        pool.supervise();
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut round)) {
+            Ok(value) => return Ok(value),
             Err(payload) => {
-                p.supervise();
-                p.note_retry();
+                pool.supervise();
+                pool.note_retry();
                 attempt += 1;
                 *retries += 1;
                 if attempt >= 3 {
@@ -2490,6 +2463,52 @@ mod tests {
         // some answers were stale.
         assert_eq!(degraded.final_digest, clean.final_digest);
         assert_eq!(degraded.stats.batches, clean.stats.batches);
+    }
+
+    /// Records the deterministic arguments of every σ round event.
+    #[derive(Default)]
+    struct RoundLog(Vec<(&'static str, u64, u64, u64)>);
+
+    impl TelemetrySink for RoundLog {
+        fn round_start(&mut self, round: u64, scheduled: u64, frontier: u64) {
+            self.0.push(("start", round, scheduled, frontier));
+        }
+        fn round_end(&mut self, round: u64, recomputed: u64, changed: u64, _wall_ns: u64) {
+            self.0.push(("end", round, recomputed, changed));
+        }
+    }
+
+    #[test]
+    fn a_retried_round_reaches_the_sink_once() {
+        // Epoch 7 falls inside the initial convergence: a retry that
+        // re-ran the whole kernel replayed the rounds before it.
+        let trace = generate_trace(&TraceSpec {
+            topology: TopologySpec::Ring { n: 24 },
+            algebra: ServeAlgebra::Hopcount { limit: 48 },
+            events: 400,
+            seed: 5,
+            query_permille: 150,
+            weight_permille: 0,
+        })
+        .unwrap();
+        let run = |faults: Option<FaultPlan>| {
+            let opts = ServeOptions {
+                threads: 2,
+                batch_max: 32,
+                faults: faults.map(Arc::new),
+                ..ServeOptions::default()
+            };
+            let mut log = RoundLog::default();
+            let report = replay_trace_opts(&trace, &opts, &mut log).expect("replay");
+            assert!(report.failure.is_none());
+            (report, log.0)
+        };
+        let (clean, clean_rounds) = run(None);
+        let (faulted, faulted_rounds) = run(Some(FaultPlan::new(3).with(FaultKind::FailEpoch, 7)));
+        assert_eq!(faulted.stats.flush_retries, 1, "the fault fires once");
+        assert_eq!(faulted.final_digest, clean.final_digest);
+        assert_eq!(faulted.stats.rounds, clean.stats.rounds);
+        assert_eq!(faulted_rounds, clean_rounds);
     }
 
     #[test]

@@ -104,12 +104,12 @@ pub trait TelemetrySink {
     /// The current phase ended.
     fn phase_end(&mut self, _label: &str) {}
 
-    /// A σ round (or δ time step) begins; `scheduled` rows are due for
-    /// recomputation (the dirty-set size — `n` for full sweeps), of which
-    /// `frontier` are on the active frontier (rows whose inputs changed
-    /// last round and will actually be σ-recomputed; equal to `scheduled`
-    /// for the dirty-row engines, `≤ scheduled` for full sweeps that
-    /// short-circuit settled rows).
+    /// A σ round (or δ time step) begins.  For the σ kernel both counts
+    /// are the round's frontier: the rows whose inputs changed last round
+    /// (every row in round 1 of a full iteration) and that this round
+    /// recomputes.  An engine that schedules rows it then skips reports
+    /// `frontier ≤ scheduled`.  A round retried after a failure does not
+    /// emit this event again.
     fn round_start(&mut self, _round: u64, _scheduled: u64, _frontier: u64) {}
 
     /// A round ended: `recomputed` rows were swept, `changed` of them
